@@ -155,6 +155,10 @@ class BranchExt:
 class BranchExtDomain:
     """Domain tag for base_field(w), w^2 = radicand (a non-square)."""
 
+    # poly_gcd makes gcds monic, but primitive() does not make polynomials
+    # monic and gcd runs the PRS
+    monic = False
+
     def __init__(self, base, radicand):
         self.base = base
         self.radicand = radicand
@@ -244,16 +248,24 @@ class CurveModel:
     # -- elements ------------------------------------------------------------
 
     def element(self, p, q=None) -> "FunctionFieldElement":
+        """p + y*q.  A RationalFunction or MultiPoly in x is a function of x;
+        anything else is a scalar coerced into the coefficient field, which
+        over Frac(K[a, ...]) includes polynomials and rational functions in
+        the parameters.  Raises TypeError for a value that is neither."""
+
         def lift(v):
             if v is None:
                 return RationalFunction(MultiPoly.zero(self.dom, ("x",)))
-            if isinstance(v, RationalFunction):
+            if isinstance(v, RationalFunction) and self._in_x_ring(v.num):
                 return v
-            if isinstance(v, MultiPoly):
+            if isinstance(v, MultiPoly) and self._in_x_ring(v):
                 return RationalFunction(v)
             return RationalFunction(MultiPoly.const(self.dom, ("x",), v))
 
         return FunctionFieldElement(self, lift(p), lift(q))
+
+    def _in_x_ring(self, p: MultiPoly) -> bool:
+        return p.vars == ("x",) and p.dom == self.dom
 
     def x(self) -> "FunctionFieldElement":
         return self.element(MultiPoly.var(self.dom, ("x",), "x"))
@@ -308,10 +320,8 @@ class FunctionFieldElement:
             if other.curve is not self.curve and other.curve.f != self.curve.f:
                 raise ValueError("elements live on different curves")
             return other
-        if isinstance(other, (RationalFunction, MultiPoly)):
-            return self.curve.element(other)
         try:
-            return self.curve.element(self.curve.dom.coerce(other))
+            return self.curve.element(other)
         except TypeError:
             return None
 
@@ -710,8 +720,9 @@ def _ord_in(rf: RationalFunction, g: MultiPoly):
 
 
 def coprime_basis(polys):
-    """Pairwise-coprime square-free primitive polynomials generating the
-    same set of roots as the inputs."""
+    """Pairwise-coprime square-free polynomials in normal form generating
+    the same set of roots as the inputs: monic over Q(sqrt(d)),
+    primitive-integer over QQ (see ``MultiPoly.primitive``)."""
     basis = []
     work = []
     for p in polys:

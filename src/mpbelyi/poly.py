@@ -9,6 +9,21 @@ functions, used for series with symbolic parameters).
 The elimination-theory layer (gcd, resultants, fraction-free determinants,
 nullspaces) runs on these polynomials with divisions that are exact by
 construction; nothing here ever rounds.
+
+Normal forms depend on the domain:
+
+* over QQ, primitive-integer: integer coefficients with gcd 1 and a
+  positive leading coefficient (the elimination goldens are stored so).
+  This is the form of gcds, of ``primitive`` parts and of the denominator
+  of a ``RationalFunction``.
+* over Q(sqrt(d)), monic: leading coefficient 1, for the same three.
+* over the other fields (rational-function coefficients, branch
+  extensions), gcds are monic, but ``primitive`` is not a normal form:
+  making every polynomial monic would cost one coefficient gcd per term.
+
+Over Q(sqrt(d)) a univariate gcd runs monic Euclid, which keeps every
+remainder monic and so bounds coefficient growth; everything else (QQ,
+multivariate input, the other fields) runs the subresultant PRS.
 """
 
 from __future__ import annotations
@@ -25,6 +40,8 @@ from .scalars import QuadExt, quadext_sqrt, rational_sqrt_exact
 
 class RationalDomain:
     name = "QQ"
+    # normal forms here are primitive-integer, not monic (see the module doc)
+    monic = False
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -65,6 +82,10 @@ class RationalDomain:
 
 
 class QuadDomain:
+    # a field with cheap exact arithmetic: primitive() returns monic parts
+    # and univariate gcd runs monic Euclid
+    monic = True
+
     def __init__(self, d: int):
         self.d = d
         self.name = "Q(sqrt(%d))" % d
@@ -89,14 +110,8 @@ class QuadDomain:
         return x / y
 
     def content_gcd(self, x, y):
-        parts = [p for p in (x.rat, x.surd, y.rat, y.surd) if p]
-        g = Fraction(0)
-        for p in parts:
-            g = Fraction(
-                math.gcd(g.numerator, p.numerator),
-                math.lcm(g.denominator, p.denominator),
-            ) if g else abs(p)
-        return QuadExt(g, 0, self.d)
+        # every nonzero element of a field is a unit
+        return self.one
 
     def canonical_sign(self, x) -> int:
         return x.sign()
@@ -121,6 +136,10 @@ class QuadDomain:
 
 class FractionFieldDomain:
     """Coefficients that are RationalFunction over an inner polynomial ring."""
+
+    # a field, but dividing by a leading coefficient would run one gcd per
+    # term: primitive() does not make polynomials monic and gcd runs the PRS
+    monic = False
 
     def __init__(self, inner_dom, inner_vars: tuple):
         self.inner_dom = inner_dom
@@ -497,12 +516,23 @@ class MultiPoly:
         return g
 
     def primitive(self):
-        """(content-with-sign, primitive part): primitive part has content 1 and
-        canonical-positive leading coefficient."""
+        """(unit, normal form) with self = unit * normal form.
+
+        Over a monic domain (Q(sqrt(d))) the unit is the leading coefficient
+        and the normal form is monic.  Otherwise the unit is the content with
+        the sign of the leading coefficient, and the normal form has content
+        1 and a canonical-positive leading coefficient: primitive-integer
+        over QQ.  The zero polynomial gives (0, 0)."""
         if not self.terms:
             return self.dom.zero, self
-        c = self.content()
         _, lead = self.leading()
+        if self.dom.monic:
+            if lead == self.dom.one:
+                return lead, self
+            inv = self.dom.div(self.dom.one, lead)
+            terms = {e: k * inv for e, k in self.terms.items()}
+            return lead, MultiPoly(self.dom, self.vars, terms)
+        c = self.content()
         if self.dom.canonical_sign(lead) < 0:
             c = -c
         inv_terms = {e: self.dom.div(k, c) for e, k in self.terms.items()}
@@ -633,11 +663,14 @@ def _content_in(p: MultiPoly, name: str) -> MultiPoly:
 
 
 def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Greatest common divisor, primitive with canonical-positive leading
-    coefficient (content gcd included for rational coefficients).
+    """Greatest common divisor in its normal form: monic over Q(sqrt(d)) and
+    the other fields, primitive-integer with positive leading coefficient
+    over QQ (where the integer content gcd is kept: gcd(6, -4) = 2).
 
-    Univariate steps use the subresultant polynomial remainder sequence on
-    primitive parts; multivariate inputs recurse through contents.
+    Univariate input over Q(sqrt(d)) runs monic Euclid.  Otherwise
+    univariate steps use the subresultant polynomial remainder sequence on
+    primitive parts, and multivariate inputs recurse through contents.
+    gcd(0, 0) is 0.
     """
     if not isinstance(q, MultiPoly):
         q = MultiPoly.const(p.dom, p.vars, q)
@@ -661,6 +694,10 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         if p.uses(v) or q.uses(v):
             name = v
             break
+    if p.dom.monic and not any(
+        v != name and (p.uses(v) or q.uses(v)) for v in p.vars
+    ):
+        return _gcd_monic_euclid(p, q, name)
     pu, qu = p.uses(name), q.uses(name)
     if not pu or not qu:
         # a divisor of the name-free input and of the other one must divide
@@ -679,15 +716,55 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 def _gcd_normalize(p: MultiPoly) -> MultiPoly:
     if not p:
         return p
-    c, prim = p.primitive()
-    # fold the numeric content's gcd-meaning back in: gcd is defined up to
-    # units, so return the primitive part with canonical sign for fields
-    # and keep integer content for rational coefficients
-    if isinstance(p.dom, (RationalDomain, QuadDomain)):
+    # gcd is defined up to units: primitive() already fixes the unit over QQ
+    # and over monic domains; make the other fields' gcds monic here
+    prim = p.primitive_part()
+    if p.dom.monic or isinstance(p.dom, RationalDomain):
         return prim
     _, lead = prim.leading()
     inv = p.dom.div(p.dom.one, lead)
     return prim.scale(inv)
+
+
+def _gcd_monic_euclid(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
+    """Monic gcd of nonconstant p, q over a field, both using only name.
+
+    Euclid's remainder loop on dense coefficient lists, making each remainder
+    monic (W. S. Brown, J. ACM 1971): the coefficients stay the size of the
+    monic remainders instead of growing along a pseudo-remainder sequence.
+    """
+    dom = p.dom
+    a, b = p.univariate_coeffs(name), q.univariate_coeffs(name)
+    if len(a) < len(b):
+        a, b = b, a
+    b = _dense_monic(b, dom)
+    while True:
+        r = _dense_rem(a, b, dom)
+        if not r:
+            break
+        a, b = b, _dense_monic(r, dom)
+    return MultiPoly.from_univariate(dom, name, b).with_vars(p.vars)
+
+
+def _dense_monic(a: list, dom) -> list:
+    inv = dom.div(dom.one, a[-1])
+    return [c * inv for c in a[:-1]] + [dom.one]
+
+
+def _dense_rem(a: list, b: list, dom) -> list:
+    """Remainder of a by monic b (dense, lowest degree first), trailing
+    zeros stripped: [] when b divides a."""
+    r = list(a)
+    db = len(b) - 1
+    for k in range(len(r) - 1 - db, -1, -1):
+        c = r[k + db]
+        if not dom.is_zero(c):
+            for j in range(db):
+                r[k + j] = r[k + j] - c * b[j]
+    del r[db:]
+    while r and dom.is_zero(r[-1]):
+        r.pop()
+    return r
 
 
 def _primitive_in(p: MultiPoly, name: str):
@@ -941,15 +1018,17 @@ def _rf_normalize(num: MultiPoly, den: MultiPoly):
         num = _exact_quot(num, g)
         den = _exact_quot(den, g)
     cd, dprim = den.primitive()
-    cn, nprim = num.primitive()
-    ratio = num.dom.div(cn, cd)
-    return nprim.scale(ratio), dprim
+    if cd != num.dom.one:
+        num = num.scale(num.dom.div(num.dom.one, cd))
+    return num, dprim
 
 
 class RationalFunction:
     """Quotient of MultiPolys over the same ring, reduced on construction:
-    gcd cancelled, denominator primitive with canonical-positive leading
-    coefficient."""
+    gcd cancelled and the denominator in its normal form (monic over
+    Q(sqrt(d)), primitive-integer with positive leading coefficient over
+    QQ; see ``MultiPoly.primitive``), so that over QQ and Q(sqrt(d)) equal
+    rational functions have identical num and den."""
 
     __slots__ = ("num", "den")
 
@@ -990,7 +1069,11 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        # negating a reduced numerator leaves the quotient reduced
+        out = object.__new__(RationalFunction)
+        object.__setattr__(out, "num", -self.num)
+        object.__setattr__(out, "den", self.den)
+        return out
 
     def __sub__(self, other):
         o = self._wrap(other)
@@ -1076,9 +1159,9 @@ class RationalFunction:
 
 def squarefree_decomposition(p: MultiPoly, name: str):
     """Yun decomposition of a univariate-in-name polynomial over a field:
-    returns (unit, [(g1, 1), (g2, 2), ...]) with the gi primitive, pairwise
-    coprime, square-free, and p = unit * prod(gi**i) (unit a domain element
-    when the gi are normalized)."""
+    returns (unit, [(g1, 1), (g2, 2), ...]) with the gi in normal form (monic
+    over Q(sqrt(d)), primitive-integer over QQ), pairwise coprime,
+    square-free, and p = unit * prod(gi**i) with unit a domain element."""
     if not p:
         raise ValueError("square-free decomposition of zero")
     parts = []
