@@ -24,10 +24,18 @@ Normal forms depend on the domain:
 Over Q(sqrt(d)) a univariate gcd runs monic Euclid, which keeps every
 remainder monic and so bounds coefficient growth; everything else (QQ,
 multivariate input, the other fields) runs the subresultant PRS.
+
+Every exact sparse division (gcd cofactors, contents, PRS quotients,
+``divide_out`` for orders along a divisor) goes through ``exact_divide``.
+It keeps the remainder in place, as a dict plus a heap of its monomials in
+graded-lex order, so a division costs about |quotient|*|divisor|
+coefficient operations plus the heap work instead of one full remainder
+rebuild per quotient term.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 
@@ -204,6 +212,11 @@ QQ = RationalDomain()
 
 def _grlex_key(exps):
     return (sum(exps), exps)
+
+
+def _heap_key(exps):
+    # graded-lex order reversed, so heapq's min-heap pops the largest first
+    return (-sum(exps), tuple(-x for x in exps))
 
 
 class MultiPoly:
@@ -588,7 +601,21 @@ def _coerce_between(c, src_dom, dst_dom):
 
 
 def exact_divide(p: MultiPoly, q: MultiPoly):
-    """Quotient p/q when q divides p exactly, else None.  q must be nonzero."""
+    """Quotient p/q when q divides p exactly, else None.  q must be nonzero.
+
+    Sparse division with the remainder kept in place (S. C. Johnson 1974;
+    Monagan and Pearce 2007): a dict of its terms plus a max-heap of its
+    monomials in graded-lex order.  Each quotient term c*x^diff subtracts
+    c*k at diff + e for the non-leading terms k*x^e of q, deleting what
+    cancels and pushing what is new; cancelled monomials stay in the heap
+    and are skipped when popped.  That costs about |quotient|*|q|
+    coefficient operations plus the heap work, where rebuilding the
+    remainder would cost |quotient|*|remainder| term copies.
+
+    The answer is None as soon as lead(q) fails to divide the leading
+    monomial of the remainder, or the domain's division of the leading
+    coefficients is not exact.
+    """
     if not isinstance(q, MultiPoly):
         q = MultiPoly.const(p.dom, p.vars, q)
     p._check_compatible(q)
@@ -596,26 +623,52 @@ def exact_divide(p: MultiPoly, q: MultiPoly):
         raise ZeroDivisionError("division by the zero polynomial")
     if not p:
         return p
+    dom = p.dom
     qe, qc = q.leading()
+    tail = [(e, k) for e, k in q.terms.items() if e != qe]
+    rem = dict(p.terms)
+    heap = [(_heap_key(e), e) for e in rem]
+    heapq.heapify(heap)
     quot_terms: dict = {}
-    r = p
-    while r.terms:
-        re, rc = r.leading()
+    while heap:
+        re = heapq.heappop(heap)[1]
+        rc = rem.pop(re, None)
+        if rc is None:
+            continue  # cancelled, or a duplicate entry
         diff = tuple(a - b for a, b in zip(re, qe))
         if any(d < 0 for d in diff):
             return None
-        c = r.dom.div(rc, qc)
+        c = dom.div(rc, qc)
+        if not dom.is_zero(rc - c * qc):
+            return None
         quot_terms[diff] = c
-        piece = MultiPoly(p.dom, p.vars, {diff: c})
-        r = r - piece * q
-        if r.terms:
-            if _grlex_key(r.leading()[0]) >= _grlex_key(re):
-                return None
-    return MultiPoly(p.dom, p.vars, quot_terms)
+        for e, k in tail:
+            m = tuple(a + b for a, b in zip(diff, e))
+            s = rem.get(m)
+            if s is None:
+                rem[m] = -(c * k)
+                heapq.heappush(heap, (_heap_key(m), m))
+            else:
+                s = s - c * k
+                if dom.is_zero(s):
+                    del rem[m]
+                else:
+                    rem[m] = s
+    return MultiPoly(dom, p.vars, quot_terms)
 
 
 def divide_out(p: MultiPoly, q: MultiPoly):
-    """(k, cofactor): the largest k with q**k dividing p."""
+    """(k, cofactor): the largest k with q**k dividing p.
+
+    q must be nonzero and not constant, and p nonzero: a unit divides every
+    polynomial, and every polynomial divides 0, infinitely often.
+    """
+    if not q:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if q.is_constant():
+        raise ValueError("divide_out by the unit %s never stops" % q)
+    if not p:
+        raise ValueError("divide_out of the zero polynomial never stops")
     k = 0
     while True:
         nxt = exact_divide(p, q)

@@ -48,6 +48,15 @@ class QuadExt:
         object.__setattr__(self, "surd", Fraction(surd))
         object.__setattr__(self, "d", d)
 
+    @classmethod
+    def _trusted(cls, rat: Fraction, surd: Fraction, d: int) -> "QuadExt":
+        """Arithmetic results: parts already Fractions, d already checked."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "rat", rat)
+        object.__setattr__(x, "surd", surd)
+        object.__setattr__(x, "d", d)
+        return x
+
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt is immutable")
 
@@ -59,7 +68,7 @@ class QuadExt:
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadExt(other, 0, self.d)
+            return QuadExt._trusted(Fraction(other), _ZERO, self.d)
         return None
 
     # -- ring structure ------------------------------------------------
@@ -68,18 +77,18 @@ class QuadExt:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self.rat + o.rat, self.surd + o.surd, self.d)
+        return QuadExt._trusted(self.rat + o.rat, self.surd + o.surd, self.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.rat, -self.surd, self.d)
+        return QuadExt._trusted(-self.rat, -self.surd, self.d)
 
     def __sub__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self.rat - o.rat, self.surd - o.surd, self.d)
+        return QuadExt._trusted(self.rat - o.rat, self.surd - o.surd, self.d)
 
     def __rsub__(self, other):
         o = self._lift(other)
@@ -91,7 +100,7 @@ class QuadExt:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return QuadExt(
+        return QuadExt._trusted(
             self.rat * o.rat + self.d * self.surd * o.surd,
             self.rat * o.surd + self.surd * o.rat,
             self.d,
@@ -103,7 +112,7 @@ class QuadExt:
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt(%d))" % self.d)
-        return QuadExt(self.rat / n, -self.surd / n, self.d)
+        return QuadExt._trusted(self.rat / n, -self.surd / n, self.d)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -122,7 +131,7 @@ class QuadExt:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = QuadExt(1, 0, self.d)
+        out = QuadExt._trusted(_ONE, _ZERO, self.d)
         base = self
         while n:
             if n & 1:
@@ -135,7 +144,7 @@ class QuadExt:
 
     def conj(self) -> "QuadExt":
         """Galois conjugate: sqrt(d) -> -sqrt(d)."""
-        return QuadExt(self.rat, -self.surd, self.d)
+        return QuadExt._trusted(self.rat, -self.surd, self.d)
 
     def norm(self) -> Fraction:
         """Product with the conjugate, an ordinary rational."""
@@ -199,6 +208,10 @@ class QuadExt:
 
     def __repr__(self):
         return "QuadExt(%r, %r, %d)" % (str(self.rat), str(self.surd), self.d)
+
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def quad_mul(x: QuadExt, y: QuadExt) -> QuadExt:

@@ -233,3 +233,33 @@ def test_to_bigfloat_quadext_cross_path():
         ref = 17983 + 1755 * mpmath.sqrt(105)
         assert mpmath.fabs(x - ref) < mpmath.mpf(2) ** (-100) * ref
     assert mpmath.nstr(x, 10).startswith("35966.")
+
+
+def test_arithmetic_results_keep_fraction_parts_and_d():
+    # results skip the public constructor's checks, so check what they carry
+    for d in (2, 105):
+        x = QuadExt(Fraction(1, 2), 3, d)
+        y = QuadExt(-2, Fraction(5, 7), d)
+        results = [
+            x + y, x - y, x * y, -x, x.inverse(), x / y, x**3, x**-2, x**0,
+            x.conj(), x + 1, 1 + x, x - Fraction(1, 3), 2 - x, 3 * x,
+            x / 4, 4 / x,
+        ]
+        for r in results:
+            assert type(r) is QuadExt
+            assert type(r.rat) is Fraction and type(r.surd) is Fraction
+            assert r.d == d
+        with pytest.raises(AttributeError):
+            (x * y).rat = Fraction(0)
+
+
+def test_public_constructor_keeps_its_checks():
+    for bad in (12, 1):
+        with pytest.raises(ValueError):
+            QuadExt(1, 1, bad)
+    x, y = QuadExt(1, 1, 2), QuadExt(1, 1, 3)
+    for op in (
+        lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y, lambda: y / x
+    ):
+        with pytest.raises(ValueError):
+            op()
