@@ -18,10 +18,9 @@ import math
 from fractions import Fraction
 
 from .poly import (
+    Field,
     FractionFieldDomain,
     MultiPoly,
-    QuadDomain,
-    RationalDomain,
     RationalFunction,
     divide_out,
     exact_divide,
@@ -135,7 +134,10 @@ class BranchExt:
         return base.is_zero(self.a - o.a) and base.is_zero(self.b - o.b)
 
     def __hash__(self):
-        return hash(("BranchExt", repr(self.a), repr(self.b)))
+        # equal to its base element when b is zero, so hash like it
+        if self.ext.base.is_zero(self.b):
+            return hash(self.a)
+        return hash((self.a, self.b))
 
     def __str__(self):
         base = self.ext.base
@@ -152,12 +154,8 @@ class BranchExt:
         return "BranchExt(%s | w^2=%s)" % (self, self.ext.base.render(self.ext.radicand))
 
 
-class BranchExtDomain:
+class BranchExtDomain(Field):
     """Domain tag for base_field(w), w^2 = radicand (a non-square)."""
-
-    # poly_gcd makes gcds monic, but primitive() does not make polynomials
-    # monic and gcd runs the PRS
-    monic = False
 
     def __init__(self, base, radicand):
         self.base = base
@@ -176,17 +174,8 @@ class BranchExtDomain:
             raise TypeError("element of a different branch extension")
         return BranchExt(self.base.coerce(x), self.base.zero, self)
 
-    def is_zero(self, x) -> bool:
-        return not x
-
     def div(self, x, y):
         return self.coerce(x) / self.coerce(y)
-
-    def content_gcd(self, x, y):
-        return self.one
-
-    def canonical_sign(self, x) -> int:
-        return 0 if self.is_zero(x) else 1
 
     def sqrt(self, x):
         x = self.coerce(x)
@@ -216,9 +205,6 @@ class BranchExtDomain:
 
     def __hash__(self):
         return hash(("BranchExtDomain", repr(self.base)))
-
-    def __repr__(self):
-        return self.name
 
 
 # --------------------------------------------------------------------------
@@ -721,8 +707,8 @@ def _ord_in(rf: RationalFunction, g: MultiPoly):
 
 def coprime_basis(polys):
     """Pairwise-coprime square-free polynomials in normal form generating
-    the same set of roots as the inputs: monic over Q(sqrt(d)),
-    primitive-integer over QQ (see ``MultiPoly.primitive``)."""
+    the same set of roots as the inputs: monic, except primitive-integer
+    over QQ (see ``MultiPoly.primitive``)."""
     basis = []
     work = []
     for p in polys:

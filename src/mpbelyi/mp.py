@@ -13,7 +13,7 @@ Key exact identities used as cross-checks:
 
 from __future__ import annotations
 
-from .curve import FunctionFieldElement, residue_of_quadratic_differential
+from .curve import FunctionFieldElement
 
 
 def mp_differential(beta: FunctionFieldElement) -> FunctionFieldElement:
@@ -29,8 +29,3 @@ def mp_of_inverse(beta: FunctionFieldElement) -> FunctionFieldElement:
     """u for the differential of 1/beta, via the exact identity
     MP(1/b) = -MP(b)/b (cheaper than inverting beta first)."""
     return -(mp_differential(beta) / beta)
-
-
-def mp_residue(u: FunctionFieldElement, place):
-    """Residue of u * omega^2 at a double pole (coefficient of t^-2)."""
-    return residue_of_quadratic_differential(u, place)

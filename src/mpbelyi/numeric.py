@@ -1,37 +1,19 @@
 """Floating-point support at explicit binary precision.
 
-Everything exact lives elsewhere; this module is the one place the
-pipeline converts exact scalars to mpmath numbers.  It provides root
-finding for dense univariate polynomials, a two-variable Newton polish
-for isolating a root of a pair of bivariate polynomials, clustering of
-approximate values, numeric j-invariants from root configurations, and
-the finite critical values of a map A(x) + y*B(x) on y^2 = f(x).
+Everything exact lives elsewhere; exact coefficients reach mpmath through
+``scalars.to_bigfloat``.  The module provides root finding for dense
+univariate polynomials, a two-variable Newton polish for isolating a root
+of a pair of bivariate polynomials, clustering of approximate values,
+numeric j-invariants from root configurations, and the finite critical
+values of a map A(x) + y*B(x) on y^2 = f(x).
 """
 
 from fractions import Fraction
 
 import mpmath
 
-from .curve import BranchExt
 from .poly import MultiPoly, exact_divide, poly_gcd
-from .scalars import DEFAULT_PRECISION, QuadExt, to_bigfloat
-
-
-def scalar_to_number(x, bits: int = DEFAULT_PRECISION):
-    """Round an exact scalar to an mpf, or an mpc when a negative
-    radicand forces it off the real line."""
-    if isinstance(x, BranchExt):
-        with mpmath.workprec(bits + 32):
-            base = scalar_to_number(x.a, bits + 32)
-            coeff = scalar_to_number(x.b, bits + 32)
-            rad = scalar_to_number(x.ext.radicand, bits + 32)
-            val = base + coeff * mpmath.sqrt(rad)
-        with mpmath.workprec(bits):
-            return +val
-    if isinstance(x, (QuadExt, Fraction, int)):
-        return to_bigfloat(x, bits)
-    with mpmath.workprec(bits):
-        return +mpmath.mpmathify(x)
+from .scalars import DEFAULT_PRECISION, to_bigfloat
 
 
 def eval_poly(p: MultiPoly, point: dict, bits: int = DEFAULT_PRECISION):
@@ -41,7 +23,7 @@ def eval_poly(p: MultiPoly, point: dict, bits: int = DEFAULT_PRECISION):
         vals = {v: mpmath.mpmathify(point[v]) for v in p.vars if p.uses(v)}
         acc = mpmath.mpf(0)
         for e, c in p.terms.items():
-            t = scalar_to_number(c, bits + 16)
+            t = to_bigfloat(c, bits + 16)
             for i, v in enumerate(p.vars):
                 if e[i]:
                     t = t * vals[v] ** e[i]
@@ -53,7 +35,7 @@ def eval_poly(p: MultiPoly, point: dict, bits: int = DEFAULT_PRECISION):
 def dense_coeffs(p: MultiPoly, name: str, bits: int = DEFAULT_PRECISION):
     """Highest-degree-first numeric coefficient list of a univariate poly."""
     exact = p.univariate_coeffs(name)
-    return [scalar_to_number(c, bits) for c in reversed(exact)]
+    return [to_bigfloat(c, bits) for c in reversed(exact)]
 
 
 def poly_roots(p: MultiPoly, name: str, bits: int = DEFAULT_PRECISION):

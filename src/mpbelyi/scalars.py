@@ -3,9 +3,9 @@
 Everything upstream of the final numeric checks is exact.  Rationals are
 stdlib ``fractions.Fraction`` (already gcd-reduced with positive
 denominator).  ``QuadExt`` implements Q(sqrt(d)) for a square-free d > 1
-carried per value; production runs use d = 105.  ``BigFloat`` is an
-``mpmath.mpf`` produced at an explicitly requested binary precision
-(default 128 bits).
+carried per value; production runs use d = 105.  ``to_bigfloat`` is the one
+conversion from exact scalars to ``mpmath`` numbers, at an explicitly
+requested binary precision (default 128 bits).
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ import math
 from fractions import Fraction
 
 import mpmath
-
-Rational = Fraction
 
 DEFAULT_PRECISION = 128
 
@@ -214,11 +212,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def quad_mul(x: QuadExt, y: QuadExt) -> QuadExt:
-    """Product in Q(sqrt(d)); operands must carry the same d."""
-    return x * y
-
-
 def integer_sqrt_exact(n: int):
     """Exact integer square root of n, or None when n is not a perfect square.
 
@@ -279,9 +272,6 @@ def quadext_sqrt(x: QuadExt):
     return None
 
 
-BigFloat = mpmath.mpf
-
-
 def _mpf_from_fraction(q: Fraction, bits: int):
     data = mpmath.libmp.from_rational(
         q.numerator, q.denominator, bits, mpmath.libmp.round_nearest
@@ -290,21 +280,24 @@ def _mpf_from_fraction(q: Fraction, bits: int):
 
 
 def to_bigfloat(x, bits: int = DEFAULT_PRECISION):
-    """Round x (int | Fraction | QuadExt | mpf) to a binary float of
-    the given precision.  Rational input is correctly rounded; QuadExt
-    goes through guard digits before the final rounding."""
+    """Round an exact scalar (int, Fraction, QuadExt or BranchExt, whose
+    parts may themselves be extension elements) or an mpmath number to
+    the given binary precision.
+
+    Rational input is correctly rounded.  a + b*sqrt(r) is evaluated with
+    32 guard bits and rounded once; a negative radicand gives an mpc."""
     if isinstance(x, QuadExt):
-        with mpmath.workprec(bits + 32):
-            val = _mpf_from_fraction(x.rat, bits + 32)
-            val += _mpf_from_fraction(x.surd, bits + 32) * mpmath.sqrt(x.d)
-        with mpmath.workprec(bits):
-            return +val
-    if isinstance(x, Fraction):
+        parts = x.rat, x.surd, x.d
+    elif hasattr(x, "ext"):  # curve.BranchExt, not imported here
+        parts = x.a, x.b, x.ext.radicand
+    elif isinstance(x, Fraction):
         return _mpf_from_fraction(x, bits)
+    else:
+        with mpmath.workprec(bits):
+            return +mpmath.mpmathify(x)
+    guard = bits + 32
+    a, b, r = (to_bigfloat(v, guard) for v in parts)
+    with mpmath.workprec(guard):
+        val = a + b * mpmath.sqrt(r)
     with mpmath.workprec(bits):
-        return mpmath.mpf(x)
-
-
-def rational_to_float(q, bits: int = DEFAULT_PRECISION):
-    """Correctly rounded binary float of a rational at the given precision."""
-    return to_bigfloat(Fraction(q), bits)
+        return +val

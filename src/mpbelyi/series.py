@@ -166,14 +166,6 @@ class LaurentSeries:
             self.var,
         )
 
-    def truncate(self, prec: int) -> "LaurentSeries":
-        if prec > self.prec:
-            raise SeriesPrecisionError(
-                "cannot extend truncation from %d to %d" % (self.prec, prec),
-                needed=prec,
-            )
-        return LaurentSeries(self.dom, self.coeffs, prec, self.var)
-
     def inverse(self) -> "LaurentSeries":
         v = self.valuation()
         if v is None:
@@ -286,12 +278,6 @@ class LaurentSeries:
             if k < hi:
                 power = power * inner
         return out
-
-    def map_coefficients(self, fn, dom=None) -> "LaurentSeries":
-        dom = dom or self.dom
-        return LaurentSeries(
-            dom, {k: fn(c) for k, c in self.coeffs.items()}, self.prec, self.var
-        )
 
     # -- comparison and rendering --------------------------------------------------
 

@@ -62,6 +62,17 @@ def test_branchext_over_quadratic_field():
     assert z * z.inverse() == ext.one
 
 
+def test_branchext_hash_agrees_with_eq():
+    ext = BranchExtDomain(QQ, Fraction(7))
+    x = ext.coerce(3)
+    assert x == Fraction(3) and hash(x) == hash(Fraction(3))
+    assert Fraction(3) in {x} and x in {3}
+    z = x + ext.w() * Fraction(1, 2)
+    assert hash(z) == hash(ext.coerce(Fraction(6, 2)) + ext.w() / 2)
+    quad = BranchExtDomain(QuadDomain(105), QuadExt(595, -23, 105))
+    assert QuadExt(2, 0, 105) in {quad.coerce(2)}
+
+
 def test_branchext_sqrt_recognizes_radicand_multiples():
     ext = BranchExtDomain(QQ, Fraction(3))
     r = ext.sqrt(ext.coerce(12))

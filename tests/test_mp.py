@@ -14,8 +14,9 @@ from mpbelyi.curve import (
     CurveModel,
     RamifiedInfinitePlace,
     divisor_of,
+    residue_of_quadratic_differential,
 )
-from mpbelyi.mp import mp_differential, mp_of_inverse, mp_residue
+from mpbelyi.mp import mp_differential, mp_of_inverse
 from mpbelyi.parse import parse_poly
 from mpbelyi.poly import MultiPoly, QQ, RationalFunction
 
@@ -60,14 +61,14 @@ def test_operator_on_constants(cubic):
 def test_residue_at_order6_pole_is_minus_36(cubic):
     u = mp_differential(beta0(cubic))
     inf = cubic.places_at_infinity()[0]
-    assert mp_residue(u, inf) == -36
+    assert residue_of_quadratic_differential(u, inf) == -36
 
 
 def test_inverse_residues_at_order3_poles(cubic):
     u2 = mp_of_inverse(beta0(cubic))
     for branch in (1, -1):
         pl = cubic.point(0, branch=branch)
-        assert mp_residue(u2, pl) == -9
+        assert residue_of_quadratic_differential(u2, pl) == -9
 
 
 def test_operator_divisor_shape(cubic):
@@ -100,5 +101,5 @@ def test_composite_clean_map(cubic):
     assert both1[0][1] == parse_poly("2*x^3+1", ("x",)).primitive()[1]
     assert both1[0][2] == 2
     inf = cubic.places_at_infinity()[0]
-    assert mp_residue(mp_differential(z), inf) == -144
+    assert residue_of_quadratic_differential(mp_differential(z), inf) == -144
     assert mp_differential(z) == mp_differential(1 - z)

@@ -1,24 +1,29 @@
-"""Normal forms: monic over Q(sqrt(105)), primitive-integer over QQ.
+"""Normal forms: monic on every field, primitive-integer over QQ.
 
-Property tests (hypothesis) for gcd and RationalFunction normal forms,
-cheap negation of rational functions, curve elements over a fraction field,
-and the structure of the certification curve's divisors.
+Property tests (hypothesis) for gcd and RationalFunction normal forms over
+Q(sqrt(105)), QQ, Frac(Q[a]) and a branch extension, cheap negation of
+rational functions, curve elements over a fraction field, and the
+structure of the certification curve's divisors.
 """
 
 import math
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpbelyi import goldens as G
-from mpbelyi.curve import CurveModel, divisor_of
+from mpbelyi.curve import BranchExtDomain, CurveModel, divisor_of
 from mpbelyi.mp import mp_differential
 from mpbelyi.parse import parse_poly
 from mpbelyi.poly import (
+    Field,
     FractionFieldDomain,
     MultiPoly,
     QQ,
     QuadDomain,
+    RationalDomain,
     RationalFunction,
     exact_divide,
     poly_gcd,
@@ -91,6 +96,73 @@ def test_rational_function_normal_form_ignores_unit(n, d, u):
     r = RationalFunction(n, d)
     s = RationalFunction(n.scale(u), d.scale(u))
     assert s.num == r.num and s.den == r.den
+
+
+# -- monic normal forms over Frac(Q[a]) and Q(w), w^2 = 7 -------------------------
+
+
+def test_every_domain_is_a_field():
+    for cls in (RationalDomain, QuadDomain, FractionFieldDomain, BranchExtDomain):
+        assert issubclass(cls, Field)
+
+
+FA = FractionFieldDomain(QQ, ("a",))
+W7 = BranchExtDomain(QQ, Fraction(7))
+a_poly = st.lists(st.integers(-3, 3), min_size=1, max_size=2).map(
+    lambda cs: MultiPoly.from_univariate(QQ, "a", cs)
+)
+FIELDS = {
+    "frac_a": (FA, st.builds(RationalFunction, a_poly, a_poly.filter(bool)).map(FA.coerce)),
+    "w7": (W7, st.builds(lambda r, s: W7.coerce(r) + W7.w() * s, small_q, small_q)),
+}
+
+
+def field_poly(name):
+    dom, coeffs = FIELDS[name]
+    return st.lists(coeffs, min_size=1, max_size=3).map(
+        lambda cs: MultiPoly.from_univariate(dom, "x", cs)
+    )
+
+
+@pytest.mark.parametrize("name", FIELDS)
+@PROPS
+@given(data=st.data())
+def test_primitive_is_leading_coefficient_times_monic(name, data):
+    p = data.draw(field_poly(name).filter(bool))
+    u, g = p.primitive()
+    assert g * u == p
+    assert lead(g) == FIELDS[name][0].one
+
+
+@pytest.mark.parametrize("name", FIELDS)
+@PROPS
+@given(data=st.data())
+def test_field_rational_function_normal_form_ignores_common_factor(name, data):
+    n = data.draw(field_poly(name))
+    d, k = (data.draw(field_poly(name).filter(bool)) for _ in range(2))
+    r = RationalFunction(n, d)
+    s = RationalFunction(n * k, d * k)
+    assert s.num == r.num and s.den == r.den
+    assert lead(r.den) == FIELDS[name][0].one
+
+
+@pytest.mark.parametrize("name", FIELDS)
+@PROPS
+@given(data=st.data())
+def test_field_gcd_of_planted_factor_is_monic_multiple(name, data):
+    p, q = (data.draw(field_poly(name)) for _ in range(2))
+    h = data.draw(field_poly(name).filter(bool))
+    assert poly_gcd(p * h, q * h) == (h * poly_gcd(p, q)).primitive_part()
+
+
+@pytest.mark.parametrize("dom", [FA, W7], ids=["frac_a", "w7"])
+def test_equal_rational_functions_have_identical_num_and_den(dom):
+    a = dom.coerce(MultiPoly.var(QQ, ("a",), "a")) if dom is FA else dom.w()
+    x = MultiPoly.var(dom, ("x",), "x")
+    n, d, k = x + a, x * a + 1, x * a * 2 - 3
+    r, s = RationalFunction(n * k, d * k), RationalFunction(n, d)
+    assert r.num == s.num and r.den == s.den
+    assert lead(s.den) == dom.one
 
 
 # -- gcd over QQ keeps the primitive-integer form -----------------------------------

@@ -17,7 +17,6 @@ from mpbelyi.numeric import (
     j_from_quartic_roots,
     newton_polish_pair,
     poly_roots,
-    scalar_to_number,
 )
 from mpbelyi.parse import parse_poly
 from mpbelyi.poly import QQ, MultiPoly, QuadDomain
@@ -30,8 +29,8 @@ def close(a, b, eps=1e-25):
 
 class TestScalarConversion:
     def test_rational_and_quadratic(self):
-        assert close(scalar_to_number(Fraction(1, 3), 128), mpmath.mpf(1) / 3, 1e-35)
-        v = scalar_to_number(QuadExt(2, 1, 105), 128)
+        assert close(to_bigfloat(Fraction(1, 3), 128), mpmath.mpf(1) / 3, 1e-35)
+        v = to_bigfloat(QuadExt(2, 1, 105), 128)
         with mpmath.workprec(160):
             want = 2 + mpmath.sqrt(105)
         assert close(v, want, 1e-35)
@@ -39,18 +38,18 @@ class TestScalarConversion:
     def test_branch_extension_real_and_imaginary(self):
         dom = BranchExtDomain(QQ, Fraction(2))
         w = dom.w()
-        val = scalar_to_number(w * w + w, 128)
+        val = to_bigfloat(w * w + w, 128)
         with mpmath.workprec(160):
             want = 2 + mpmath.sqrt(2)
         assert close(val, want, 1e-35)
         neg = BranchExtDomain(QQ, Fraction(-4))
-        v2 = scalar_to_number(neg.w(), 128)
+        v2 = to_bigfloat(neg.w(), 128)
         assert close(v2, mpmath.mpc(0, 2), 1e-35)
 
     def test_branch_extension_over_quadratic_base(self):
         k = QuadDomain(105)
         dom = BranchExtDomain(k, QuadExt(1, 1, 105))
-        v = scalar_to_number(dom.w(), 192)
+        v = to_bigfloat(dom.w(), 192)
         with mpmath.workprec(224):
             want = mpmath.sqrt(1 + mpmath.sqrt(105))
         assert close(v, want, 1e-50)

@@ -232,7 +232,7 @@ def test_content_and_primitive():
     c, prim = p.primitive()
     assert c == 2
     assert prim == parse_poly("3*x^2-5*x+2", ("x",))
-    assert prim.content() == 1
+    assert prim.primitive()[0] == 1
     n = parse_poly("-6*x^2+10*x-4", ("x",))
     cn, primn = n.primitive()
     assert cn == -2 and primn == prim
