@@ -5,11 +5,18 @@ ordered graded-lex for rendering and division.  Coefficient domains are
 instances of ``Field``: QQ (Fraction), QuadDomain(d) (elements of
 Q(sqrt(d))), FractionFieldDomain (coefficients that are themselves rational
 functions, used for series with symbolic parameters) and, in ``curve``,
-the branch extensions BranchExtDomain.
+the branch extensions BranchExtDomain.  The one ring is ZZ (Python ints),
+which only the elimination layer uses.
 
 The elimination-theory layer (gcd, resultants, fraction-free determinants,
 nullspaces) runs on these polynomials with divisions that are exact by
-construction; nothing here ever rounds.
+construction; nothing here ever rounds.  ``resultant``, ``discriminant``
+and ``det_fraction_free`` clear the denominators of QQ input (per
+polynomial, per matrix row), run the subresultant PRS (G. E. Collins 1967;
+W. S. Brown 1971) or Bareiss's elimination (E. H. Bareiss 1968) on ZZ,
+where every exact division is an integer ``//``, and scale the result back
+to QQ once.  On the benchmark's eliminations that removes nearly all
+``Fraction`` arithmetic.
 
 One normal-form rule covers every domain: a nonzero polynomial is
 ``unit * normal form`` with the unit ``dom.normal_unit(p)``, its leading
@@ -50,7 +57,8 @@ from .scalars import QuadExt, quadext_sqrt, rational_sqrt_exact
 
 
 class Field:
-    """Coefficient domain protocol: every domain in the package is a field.
+    """Coefficient domain protocol.  Every domain in the package is a field,
+    except ``ZZ``, the one ring, which only the elimination layer uses.
 
     Subclasses provide ``name``, ``zero``, ``one``, ``coerce`` (which returns
     the domain's own elements unchanged) and ``sqrt``, and override the rest
@@ -66,6 +74,10 @@ class Field:
     def div(self, x, y):
         return x / y
 
+    def quo(self, x, y):
+        """x/y when y divides x, else None; in a field y always does."""
+        return x / y
+
     def content_gcd(self, x, y):
         # every nonzero element of a field is a unit
         return self.one
@@ -74,6 +86,12 @@ class Field:
         """The unit u of nonzero p whose quotient p/u is p's normal form:
         the leading coefficient, so the normal form is monic."""
         return p.leading()[1]
+
+    def divide_terms(self, terms: dict, u) -> dict:
+        """The terms divided by the unit u: one inversion, then a product
+        per term."""
+        inv = self.div(self.one, u)
+        return {e: k * inv for e, k in terms.items()}
 
     def render(self, x) -> str:
         return "(%s)" % x
@@ -193,7 +211,49 @@ class FractionFieldDomain(Field):
         return hash(("FractionFieldDomain", repr(self.inner_dom), self.inner_vars))
 
 
+class IntegerRing:
+    """ZZ: Python ints, the coefficient ring that ``resultant``,
+    ``discriminant`` and ``det_fraction_free`` run on after clearing the
+    denominators of their QQ input.  It is not a field: ``quo`` is exact
+    integer division, None when a remainder is left, and the normal unit is
+    the content with the sign of the leading coefficient."""
+
+    name = "ZZ"
+    euclid = False
+    zero = 0
+    one = 1
+
+    def coerce(self, x):
+        if isinstance(x, int):
+            return x
+        raise TypeError("cannot coerce %r into ZZ" % (x,))
+
+    def is_zero(self, x) -> bool:
+        return not x
+
+    def quo(self, x, y):
+        q, r = divmod(x, y)
+        return None if r else q
+
+    def content_gcd(self, x, y):
+        return math.gcd(x, y)
+
+    def normal_unit(self, p: "MultiPoly"):
+        n = math.gcd(*p.terms.values())
+        return n if p.leading()[1] > 0 else -n
+
+    def divide_terms(self, terms: dict, u) -> dict:
+        return {e: k // u for e, k in terms.items()}
+
+    def render(self, x) -> str:
+        return str(x)
+
+    def __repr__(self):
+        return self.name
+
+
 QQ = RationalDomain()
+ZZ = IntegerRing()
 
 
 # --------------------------------------------------------------------------
@@ -508,14 +568,14 @@ class MultiPoly:
         The unit is ``dom.normal_unit(self)``: the leading coefficient, so
         the normal form is monic, except over QQ, where it is the content
         with the sign of the leading coefficient and the normal form is
-        primitive-integer.  The zero polynomial gives (0, 0)."""
+        primitive-integer (over ZZ likewise).  The zero polynomial gives
+        (0, 0)."""
         if not self.terms:
             return self.dom.zero, self
         u = self.dom.normal_unit(self)
         if u == self.dom.one:
             return u, self
-        inv = self.dom.div(self.dom.one, u)
-        return u, MultiPoly(self.dom, self.vars, {e: k * inv for e, k in self.terms.items()})
+        return u, MultiPoly(self.dom, self.vars, self.dom.divide_terms(self.terms, u))
 
     def primitive_part(self):
         return self.primitive()[1]
@@ -573,8 +633,8 @@ def exact_divide(p: MultiPoly, q: MultiPoly):
     remainder would cost |quotient|*|remainder| term copies.
 
     The answer is None as soon as lead(q) fails to divide the leading
-    monomial of the remainder, or the domain's division of the leading
-    coefficients is not exact.
+    monomial of the remainder, or its coefficient (``dom.quo``, which over
+    a field always divides and over ZZ finds a remainder).
     """
     if not isinstance(q, MultiPoly):
         q = MultiPoly.const(p.dom, p.vars, q)
@@ -598,8 +658,8 @@ def exact_divide(p: MultiPoly, q: MultiPoly):
         diff = tuple(a - b for a, b in zip(re, qe))
         if any(d < 0 for d in diff):
             return None
-        c = dom.div(rc, qc)
-        if not dom.is_zero(rc - c * qc):
+        c = dom.quo(rc, qc)
+        if c is None:
             return None
         quot_terms[diff] = c
         for e, k in tail:
@@ -664,12 +724,14 @@ def _pseudo_rem(a: MultiPoly, b: MultiPoly, name: str) -> MultiPoly:
 
 
 def _content_in(p: MultiPoly, name: str) -> MultiPoly:
-    """Content of p as a univariate in name: gcd of its coefficients."""
-    g = MultiPoly.zero(p.dom, p.vars)
+    """Content of p, which uses name, as a univariate in name: the gcd of
+    its coefficients, starting from the normal form of the lowest one and
+    stopping at the first constant."""
+    g = None
     for k in range(p.degree_in(name) + 1):
         c = p.coeff_of_power(name, k)
         if c:
-            g = poly_gcd(g, c)
+            g = c.primitive_part() if g is None else poly_gcd(g, c)
             if g.is_constant():
                 break
     return g
@@ -678,26 +740,30 @@ def _content_in(p: MultiPoly, name: str) -> MultiPoly:
 def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Greatest common divisor in its normal form (``MultiPoly.primitive``):
     monic, except primitive-integer with positive leading coefficient over
-    QQ (where the integer content gcd of constants is kept: gcd(6, -4) = 2).
+    QQ and ZZ.
+
+    gcd(0, 0) is 0, and gcd(0, q) = gcd(q, q) for every q: q's normal form
+    when q is not constant.  Any other gcd with a constant k (zero
+    included) is the constant ``dom.content_gcd`` of k and the other
+    input's coefficients: 1 on every field but QQ, and the content over QQ
+    and ZZ, so gcd(6, -4) = 2 and gcd(0, 6) = gcd(6, 6) = 6.
 
     Univariate input over a domain with ``euclid`` set (Q(sqrt(d))) runs
     monic Euclid.  Otherwise univariate steps use the subresultant
     polynomial remainder sequence on primitive parts, and multivariate
-    inputs recurse through contents.  gcd(0, 0) is 0.
+    inputs recurse through contents.
     """
     if not isinstance(q, MultiPoly):
         q = MultiPoly.const(p.dom, p.vars, q)
     p._check_compatible(q)
-    if not p:
-        return q.primitive_part()
     if not q:
-        return p.primitive_part()
+        p, q = q, p
+    if not q:
+        return q
     if p.is_constant() or q.is_constant():
-        if p.is_constant() and q.is_constant():
-            g = p.dom.content_gcd(p.constant_value(), q.constant_value())
-            return MultiPoly.const(p.dom, p.vars, g)
-        const = p if p.is_constant() else q
-        other = q if p.is_constant() else p
+        const, other = (p, q) if p.is_constant() else (q, p)
+        if not const and not other.is_constant():
+            return other.primitive_part()
         g = const.constant_value()
         for c in other.terms.values():
             g = p.dom.content_gcd(g, c)
@@ -821,18 +887,44 @@ def _exact_quot(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 # resultants
 
 
+def _clear_denominators(polys):
+    """(L, [L*p over ZZ for p in polys]) for QQ polynomials, with L the lcm
+    of all their coefficient denominators."""
+    L = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    return L, [
+        MultiPoly(ZZ, p.vars, {e: c.numerator * (L // c.denominator) for e, c in p.terms.items()})
+        for p in polys
+    ]
+
+
+def _to_qq(p: MultiPoly, scale: Fraction) -> MultiPoly:
+    """scale * p over QQ, for p over ZZ: one Fraction product per term."""
+    return MultiPoly(QQ, p.vars, {e: scale * k for e, k in p.terms.items()})
+
+
 def resultant(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
     """Resultant eliminating name, by the subresultant PRS.
 
     The result is a polynomial in the remaining variables (a constant when
     the inputs are univariate).  Raises ValueError when name occurs in
-    neither input.
+    neither input.  Over QQ the PRS runs on ZZ, on each input times the lcm
+    of its coefficient denominators, and the result is scaled back once.
     """
     p._check_compatible(q)
     if not p.uses(name) and not q.uses(name):
         raise ValueError("resultant variable %r absent from both inputs" % name)
     if not p or not q:
         return MultiPoly.zero(p.dom, p.vars)
+    if p.dom != QQ:
+        return _resultant(p, q, name)
+    # res(P/Lp, Q/Lq) = Lp^-deg(Q) * Lq^-deg(P) * res(P, Q)
+    (lp, (zp,)), (lq, (zq,)) = _clear_denominators([p]), _clear_denominators([q])
+    scale = Fraction(1, lp ** q.degree_in(name) * lq ** p.degree_in(name))
+    return _to_qq(_resultant(zp, zq, name), scale)
+
+
+def _resultant(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
+    """``resultant`` of nonzero p, q."""
     dp, dq = p.degree_in(name), q.degree_in(name)
     if dp == 0:
         return p**dq
@@ -860,7 +952,16 @@ def resultant(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
 
 
 def discriminant(p: MultiPoly, name: str) -> MultiPoly:
-    """res(p, dp/dname) / lc, with the classical sign."""
+    """res(p, dp/dname) / lc, with the classical sign.  Over QQ it runs on
+    ZZ, on P = L*p with L the lcm of the coefficient denominators, and
+    disc(P/L) = L^(2-2*deg P) * disc(P)."""
+    if p.dom != QQ or not p.uses(name):
+        return _discriminant(p, name)
+    lp, (zp,) = _clear_denominators([p])
+    return _to_qq(_discriminant(zp, name), Fraction(1, lp ** (2 * p.degree_in(name) - 2)))
+
+
+def _discriminant(p: MultiPoly, name: str) -> MultiPoly:
     d = p.degree_in(name)
     res = resultant(p, p.derivative(name), name)
     lc = _lc_in(p, name)
@@ -878,13 +979,27 @@ def discriminant(p: MultiPoly, name: str) -> MultiPoly:
 
 def det_fraction_free(rows) -> MultiPoly:
     """Bareiss determinant of a square matrix of MultiPoly entries.
-    Intermediate divisions are exact; no fractions appear."""
+    Intermediate divisions are exact; no fractions appear.  Over QQ it runs
+    on ZZ, on each row times the lcm L_i of its coefficient denominators,
+    and det = det' / prod(L_i)."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
     if n == 0:
         raise ValueError("empty matrix")
-    m = [list(r) for r in rows]
+    if rows[0][0].dom != QQ:
+        return _bareiss([list(r) for r in rows])
+    den, m = 1, []
+    for r in rows:
+        lr, zr = _clear_denominators(r)
+        den *= lr
+        m.append(zr)
+    return _to_qq(_bareiss(m), Fraction(1, den))
+
+
+def _bareiss(m: list) -> MultiPoly:
+    """Determinant of the n x n matrix m (n >= 1), changed in place."""
+    n = len(m)
     dom, variables = m[0][0].dom, m[0][0].vars
     one = MultiPoly.const(dom, variables, dom.one)
     sign = 1

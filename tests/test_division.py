@@ -1,8 +1,8 @@
 """The sparse division kernel: exact_divide and divide_out.
 
-Property tests (hypothesis) over bivariate QQ, univariate Q(sqrt(105)) and
-univariate Frac(Q[a]), and a cross-check against the plain division loop
-that rebuilds the whole remainder for every quotient term.
+Property tests (hypothesis) over bivariate QQ and ZZ, univariate
+Q(sqrt(105)) and univariate Frac(Q[a]), and a cross-check against the plain
+division loop that rebuilds the whole remainder for every quotient term.
 """
 
 import pytest
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from mpbelyi.poly import (
     QQ,
+    ZZ,
     FractionFieldDomain,
     MultiPoly,
     QuadDomain,
@@ -37,6 +38,9 @@ def upoly(dom, coeffs):
 qq_poly = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)), small_q, min_size=1, max_size=5
 ).map(lambda t: MultiPoly(QQ, ("x", "y"), t))
+zz_poly = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-9, 9), min_size=1, max_size=5
+).map(lambda t: MultiPoly(ZZ, ("x", "y"), t))
 
 a_poly = st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(
     lambda cs: MultiPoly.from_univariate(QQ, "a", cs)
@@ -45,6 +49,7 @@ frac_a = st.builds(RationalFunction, a_poly, a_poly.filter(bool))
 
 DOMAINS = {
     "QQ[x,y]": qq_poly,
+    "ZZ[x,y]": zz_poly,
     "Q(sqrt(105))[x]": upoly(K, quad),
     "Frac(Q[a])[x]": upoly(F, frac_a),
 }
@@ -67,7 +72,8 @@ def polys(nonzero=False, nonconstant=False):
 
 
 def reference_divide(p, q):
-    """Quotient p/q or None, rebuilding the remainder r - c*x^diff*q per step."""
+    """Quotient p/q or None, rebuilding the remainder r - c*x^diff*q per step;
+    over ZZ also None when a leading coefficient leaves a remainder."""
     qe, qc = q.leading()
     quot = {}
     r = p
@@ -76,7 +82,12 @@ def reference_divide(p, q):
         diff = tuple(a - b for a, b in zip(re, qe))
         if any(d < 0 for d in diff):
             return None
-        c = r.dom.div(rc, qc)
+        if r.dom == ZZ:
+            if rc % qc:
+                return None
+            c = rc // qc
+        else:
+            c = r.dom.div(rc, qc)
         quot[diff] = c
         r = r - MultiPoly(p.dom, p.vars, {diff: c}) * q
         if r:
@@ -114,6 +125,24 @@ def test_heap_division_matches_reference_loop(t):
     p, q, r = t
     for num in (p, p * q, p * q + r):
         assert exact_divide(num, q) == reference_divide(num, q)
+
+
+def test_zz_division_rejects_a_remainder():
+    x = MultiPoly.var(ZZ, ("x",), "x")
+    assert exact_divide(2 * x + 1, 2) is None
+    assert exact_divide(3 * x, 2 * x) is None
+    assert exact_divide(6 * x - 4, 2) == 3 * x - 2
+    assert exact_divide(-6 * x**2 + 3 * x, -3 * x) == 2 * x - 1
+
+
+@PROPS
+@given(zz_poly, st.integers(2, 5))
+def test_zz_division_by_a_constant_needs_every_coefficient_divisible(p, k):
+    out = exact_divide(p, k)
+    if all(c % k == 0 for c in p.terms.values()):
+        assert out * k == p
+    else:
+        assert out is None
 
 
 def test_divide_out_rejects_units_and_zero():

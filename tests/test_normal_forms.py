@@ -1,7 +1,8 @@
 """Normal forms: monic on every field, primitive-integer over QQ.
 
 Property tests (hypothesis) for gcd and RationalFunction normal forms over
-Q(sqrt(105)), QQ, Frac(Q[a]) and a branch extension, cheap negation of
+Q(sqrt(105)), QQ, Frac(Q[a]) and a branch extension, gcds with zero over
+QQ, ZZ and Q(sqrt(105)), cheap negation of
 rational functions, curve elements over a fraction field, and the
 structure of the certification curve's divisors.
 """
@@ -22,6 +23,7 @@ from mpbelyi.poly import (
     FractionFieldDomain,
     MultiPoly,
     QQ,
+    ZZ,
     QuadDomain,
     RationalDomain,
     RationalFunction,
@@ -191,6 +193,26 @@ def test_rational_gcd_frozen_forms():
     assert g == parse_poly("x-1", v)
     g2 = poly_gcd(parse_poly("(2*x+1)*(x-5)", v), parse_poly("(4*x+2)*(x+7)", v))
     assert g2 == parse_poly("2*x+1", v)
+
+
+# -- a gcd with zero is the gcd of the input with itself ----------------------------
+
+GCD_RINGS = {"QQ": rat_poly, "ZZ": upoly(ZZ, st.integers(-9, 9)), "Q(sqrt(105))": quad_poly}
+
+
+@pytest.mark.parametrize("name", GCD_RINGS)
+@PROPS
+@given(data=st.data())
+def test_gcd_with_zero_is_gcd_with_itself(name, data):
+    q = data.draw(GCD_RINGS[name])
+    zero = MultiPoly.zero(q.dom, q.vars)
+    assert poly_gcd(zero, q) == poly_gcd(q, q) == poly_gcd(q, zero)
+
+
+def test_gcd_of_zero_and_a_constant_keeps_the_content():
+    for dom, c, want in ((QQ, Fraction(-6), 6), (ZZ, -6, 6), (K, K.coerce(-6), 1)):
+        six = MultiPoly.const(dom, ("x",), c)
+        assert poly_gcd(MultiPoly.zero(dom, ("x",)), six) == want
 
 
 # -- negation -----------------------------------------------------------------------

@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mpbelyi.parse import ParseError, parse_poly, parse_scalar
 from mpbelyi.poly import (
@@ -381,6 +383,98 @@ def test_bareiss_singular_and_pivoting():
     one = MultiPoly.const(QQ, v, 1)
     assert not det_fraction_free([[x, x], [x, x]])
     assert det_fraction_free([[zero, one], [one, zero]]) == -1
+
+
+# -- QQ input runs on ZZ: denominators cleared at entry, scaled back once -------
+
+PROPS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+AC = ("a", "c")
+small_frac = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+nonzero_frac = small_frac.filter(bool)
+ac_entry = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.integers(0, 1)), small_frac, max_size=3
+).map(lambda t: MultiPoly(QQ, AC, t))
+# bivariate in (a, c) and using c, with a non-integer coefficient
+ac_poly = st.builds(
+    lambda t, k, lc: MultiPoly(QQ, AC, {**t, (0, k): lc}),
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 3)), small_frac, max_size=4),
+    st.integers(1, 3),
+    small_frac.filter(lambda f: f.denominator > 1),
+)
+
+
+def is_qq(r):
+    return r.dom == QQ and all(type(c) is Fraction for c in r.terms.values())
+
+
+def at_a(p, a0):
+    """Dense coefficient list in c of p at a = a0."""
+    return [p.coeff_of_power("c", k).eval_scalars({"a": a0, "c": 0})
+            for k in range(p.degree_in("c") + 1)]
+
+
+@PROPS
+@given(ac_poly, ac_poly, st.integers(-3, 3))
+def test_resultant_specialises_to_the_sylvester_oracle(p, q, a0):
+    pc, qc = at_a(p, a0), at_a(q, a0)
+    assume(pc[-1] and qc[-1])
+    r = resultant(p, q, "c")
+    assert is_qq(r)
+    assert r.eval_scalars({"a": a0, "c": 0}) == sylvester_resultant(pc, qc)
+
+
+@PROPS
+@given(ac_poly, ac_poly, nonzero_frac, nonzero_frac)
+def test_resultant_of_scaled_inputs(p, q, lam, mu):
+    dp, dq = p.degree_in("c"), q.degree_in("c")
+    r = resultant(p.scale(lam), q.scale(mu), "c")
+    assert is_qq(r)
+    assert r == resultant(p, q, "c").scale(lam**dq * mu**dp)
+
+
+@PROPS
+@given(ac_poly, ac_poly)
+def test_resultant_of_swapped_inputs(p, q):
+    r, s = resultant(p, q, "c"), resultant(q, p, "c")
+    assert is_qq(r) and is_qq(s)
+    assert s == r.scale((-1) ** (p.degree_in("c") * q.degree_in("c")))
+
+
+def test_resultant_with_an_input_free_of_the_variable():
+    v = ("a", "c")
+    p = parse_poly("3/2*a", v)
+    q = parse_poly("1/3*c^2-a", v)
+    r = resultant(p, q, "c")
+    assert is_qq(r) and r == parse_poly("9/4*a^2", v)
+    assert resultant(q, p, "c") == r
+
+
+@PROPS
+@given(ac_poly, st.integers(-3, 3))
+def test_discriminant_is_resultant_with_derivative_over_lc(p, a0):
+    d = p.degree_in("c")
+    sign = (-1) ** (d * (d - 1) // 2)
+    disc = discriminant(p, "c")
+    assert is_qq(disc)
+    lc = p.coeff_of_power("c", d)
+    assert disc == exact_divide(resultant(p, p.derivative("c"), "c"), lc).scale(sign)
+    pc = at_a(p, a0)
+    assume(pc[-1])
+    dpc = [k * c for k, c in enumerate(pc)][1:]
+    assert disc.eval_scalars({"a": a0, "c": 0}) == sign * sylvester_resultant(pc, dpc) / pc[-1]
+
+
+@PROPS
+@given(st.lists(ac_entry, min_size=9, max_size=9), st.lists(nonzero_frac, min_size=3, max_size=3))
+def test_bareiss_row_scaling_and_cofactor_oracle(entries, r):
+    m = [entries[3 * i : 3 * i + 3] for i in range(3)]
+    d = det_fraction_free(m)
+    assert is_qq(d)
+    assert d == det_cofactor(m)
+    scaled = [[e.scale(ri) for e in row] for row, ri in zip(m, r)]
+    ds = det_fraction_free(scaled)
+    assert is_qq(ds)
+    assert ds == d.scale(r[0] * r[1] * r[2])
 
 
 def test_nullspace_random_consistency():
