@@ -27,6 +27,7 @@ from .poly import (
     poly_gcd,
     squarefree_decomposition,
 )
+from .scalars import FieldOps
 from .series import LaurentSeries, MAX_TRUNCATION, SeriesPrecisionError
 
 _PREC_LADDER = (10, 18, 32, MAX_TRUNCATION)
@@ -36,7 +37,7 @@ _PREC_LADDER = (10, 18, 32, MAX_TRUNCATION)
 # formal quadratic extension for branch data
 
 
-class BranchExt:
+class BranchExt(FieldOps):
     """a + b*w with w^2 equal to a fixed non-square field element."""
 
     __slots__ = ("a", "b", "ext")
@@ -49,7 +50,7 @@ class BranchExt:
     def __setattr__(self, name, value):
         raise AttributeError("BranchExt is immutable")
 
-    def _lift(self, other):
+    def _wrap(self, other):
         if isinstance(other, BranchExt):
             if other.ext is not self.ext and other.ext != self.ext:
                 return None
@@ -61,7 +62,7 @@ class BranchExt:
         return BranchExt(base, self.ext.base.zero, self.ext)
 
     def __add__(self, other):
-        o = self._lift(other)
+        o = self._wrap(other)
         if o is None:
             return NotImplemented
         return BranchExt(self.a + o.a, self.b + o.b, self.ext)
@@ -71,20 +72,8 @@ class BranchExt:
     def __neg__(self):
         return BranchExt(-self.a, -self.b, self.ext)
 
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
-        o = self._lift(other)
+        o = self._wrap(other)
         if o is None:
             return NotImplemented
         r = self.ext.radicand
@@ -110,24 +99,12 @@ class BranchExt:
         inv = base.div(base.one, n)
         return BranchExt(self.a * inv, -self.b * inv, self.ext)
 
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def __bool__(self):
         base = self.ext.base
         return not (base.is_zero(self.a) and base.is_zero(self.b))
 
     def __eq__(self, other):
-        o = self._lift(other)
+        o = self._wrap(other)
         if o is None:
             return NotImplemented
         base = self.ext.base
@@ -291,7 +268,7 @@ class CurveModel:
         return [InfinitePlace(self, 1), InfinitePlace(self, -1)]
 
 
-class FunctionFieldElement:
+class FunctionFieldElement(FieldOps):
     """P(x) + y*Q(x) on a fixed curve; P, Q reduced rational functions."""
 
     __slots__ = ("curve", "p", "q")
@@ -325,18 +302,6 @@ class FunctionFieldElement:
     def __neg__(self):
         return FunctionFieldElement(self.curve, -self.p, -self.q)
 
-    def __sub__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         o = self._wrap(other)
         if o is None:
@@ -361,31 +326,6 @@ class FunctionFieldElement:
         if not n:
             raise ZeroDivisionError("inverting the zero function")
         return FunctionFieldElement(self.curve, self.p / n, -self.q / n)
-
-    def __truediv__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.curve.element(self.curve.dom.one)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
 
     def __eq__(self, other):
         o = self._wrap(other)
@@ -586,47 +526,54 @@ class RamifiedInfinitePlace:
         return "(x=inf, ramified)"
 
 
-def local_series(elem: FunctionFieldElement, place, prec: int) -> LaurentSeries:
-    """Expansion of P + y*Q in the uniformizer at the place."""
-    frame = place.frame(prec)
+def _expand(elem: FunctionFieldElement, frame: _Frame) -> LaurentSeries:
     out = _eval_ratfunc_series(elem.p, frame.x)
     if elem.q:
         out = out + frame.y * _eval_ratfunc_series(elem.q, frame.x)
     return out
 
 
+def local_series(elem: FunctionFieldElement, place, prec: int) -> LaurentSeries:
+    """Expansion of P + y*Q in the uniformizer at the place."""
+    return _expand(elem, place.frame(prec))
+
+
+def _on_ladder(place, what: str, read):
+    """The first value of read(prec) up the precision ladder that is not None.
+    None, ZeroDivisionError or SeriesPrecisionError leaves a rung undecided;
+    when every rung is, the ArithmeticError says what happened on each."""
+    failed = []
+    for prec in _PREC_LADDER:
+        try:
+            out = read(prec)
+        except (ZeroDivisionError, SeriesPrecisionError) as exc:
+            failed.append("precision %d: %s: %s" % (prec, type(exc).__name__, exc))
+            continue
+        if out is not None:
+            return out
+        failed.append("precision %d: vanished to the truncation" % prec)
+    raise ArithmeticError("%s at %s undecided; %s" % (what, place, "; ".join(failed)))
+
+
 def order_at(elem: FunctionFieldElement, place) -> int:
     """Exact order of vanishing (negative at a pole)."""
     if not elem:
         raise ValueError("the zero function has no order")
-    for prec in _PREC_LADDER:
-        try:
-            s = local_series(elem, place, prec)
-        except (ZeroDivisionError, SeriesPrecisionError):
-            continue
-        v = s.valuation()
-        if v is not None:
-            return v
-    raise ArithmeticError(
-        "expansion at %s vanished to the truncation cap; order undetermined" % place
+    return _on_ladder(
+        place, "order", lambda prec: local_series(elem, place, prec).valuation()
     )
 
 
 def residue_of_quadratic_differential(u: FunctionFieldElement, place):
     """Coefficient of t^-2 in the expansion of u * (dx/y)^2, the invariant
     residue of the quadratic differential u*omega^2 at a double pole."""
-    for prec in _PREC_LADDER:
-        try:
-            frame = place.frame(prec)
-            w = frame.omega_over_dt()
-            ser = _eval_ratfunc_series(u.p, frame.x)
-            if u.q:
-                ser = ser + frame.y * _eval_ratfunc_series(u.q, frame.x)
-            ser = ser * w * w
-            return ser.coefficient_of(-2)
-        except (SeriesPrecisionError, ZeroDivisionError):
-            continue
-    raise ArithmeticError("could not stabilize the residue at %s" % place)
+
+    def read(prec):
+        frame = place.frame(prec)
+        w = frame.omega_over_dt()
+        return (_expand(u, frame) * w * w).coefficient_of(-2)
+
+    return _on_ladder(place, "residue", read)
 
 
 # --------------------------------------------------------------------------

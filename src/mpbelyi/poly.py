@@ -49,7 +49,7 @@ import heapq
 import math
 from fractions import Fraction
 
-from .scalars import QuadExt, quadext_sqrt, rational_sqrt_exact
+from .scalars import FieldOps, QuadExt, RingOps, quadext_sqrt, rational_sqrt_exact
 
 
 # --------------------------------------------------------------------------
@@ -269,7 +269,7 @@ def _heap_key(exps):
     return (-sum(exps), tuple(-x for x in exps))
 
 
-class MultiPoly:
+class MultiPoly(RingOps):
     """Sparse polynomial: {exponent tuple: nonzero coefficient}."""
 
     __slots__ = ("dom", "vars", "terms")
@@ -383,18 +383,6 @@ class MultiPoly:
     def __neg__(self):
         return MultiPoly(self.dom, self.vars, {e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         o = self._wrap(other)
         if o is None:
@@ -418,18 +406,6 @@ class MultiPoly:
         return MultiPoly(self.dom, self.vars, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial powers must be nonnegative integers")
-        out = MultiPoly.const(self.dom, self.vars, self.dom.one)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
 
     def scale(self, c):
         c = self.dom.coerce(c)
@@ -1130,7 +1106,7 @@ def _rf_normalize(num: MultiPoly, den: MultiPoly):
     return num, dprim
 
 
-class RationalFunction:
+class RationalFunction(FieldOps):
     """Quotient of MultiPolys over the same ring, reduced on construction:
     gcd cancelled and the denominator in its normal form (monic, except
     primitive-integer with positive leading coefficient over QQ; see
@@ -1182,18 +1158,6 @@ class RationalFunction:
         object.__setattr__(out, "den", self.den)
         return out
 
-    def __sub__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         o = self._wrap(other)
         if o is None:
@@ -1202,6 +1166,10 @@ class RationalFunction:
 
     __rmul__ = __mul__
 
+    def inverse(self) -> "RationalFunction":
+        return RationalFunction(self.den, self.num)  # ZeroDivisionError on zero
+
+    # one normalisation (one multivariate gcd) instead of two via inverse()
     def __truediv__(self, other):
         o = self._wrap(other)
         if o is None:
@@ -1210,15 +1178,12 @@ class RationalFunction:
             raise ZeroDivisionError("division by zero rational function")
         return RationalFunction(self.num * o.den, self.den * o.num)
 
-    def __rtruediv__(self, other):
-        o = self._wrap(other)
-        if o is None:
+    # one normalisation of num**n/den**n instead of one per product
+    def __pow__(self, n):
+        if not isinstance(n, int):
             return NotImplemented
-        return o / self
-
-    def __pow__(self, n: int):
         if n < 0:
-            return (1 / self) ** (-n)
+            return self.inverse() ** (-n)
         return RationalFunction(self.num**n, self.den**n)
 
     def __eq__(self, other):

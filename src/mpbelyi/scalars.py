@@ -1,4 +1,5 @@
-"""Exact scalars: rationals, real quadratic field elements, big floats.
+"""Exact scalars: rationals, real quadratic field elements, big floats, and
+the arithmetic protocol every exact element type of the package shares.
 
 Everything upstream of the final numeric checks is exact.  Rationals are
 stdlib ``fractions.Fraction`` (already gcd-reduced with positive
@@ -6,6 +7,14 @@ denominator).  ``QuadExt`` implements Q(sqrt(d)) for a square-free d > 1
 carried per value; production runs use d = 105.  ``to_bigfloat`` is the one
 conversion from exact scalars to ``mpmath`` numbers, at an explicitly
 requested binary precision (default 128 bits).
+
+``RingOps`` writes ``-``, its reflection and integer ``**`` once, and
+``FieldOps`` adds ``/`` and its reflection, for the package's exact element
+types: ``QuadExt``, ``curve.BranchExt``, ``poly.MultiPoly`` (a ring),
+``poly.RationalFunction``, ``series.LaurentSeries`` and
+``curve.FunctionFieldElement``.  A type provides ``_wrap`` (the other
+operand as an element of its own ring, or None), ``+``, unary ``-``, ``*``
+and, on a field, ``inverse()``.
 """
 
 from __future__ import annotations
@@ -29,7 +38,66 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
-class QuadExt:
+class RingOps:
+    """``-``, its reflection and ``**`` from ``_wrap``, ``+``, unary ``-``
+    and ``*``.  Powers take ints only and start from the first factor, so a
+    series of negative valuation keeps its precision; a negative power
+    inverts, which on a ring raises ``ValueError``."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        o = self._wrap(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._wrap(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def inverse(self):
+        raise ValueError("%s has no inverses" % type(self).__name__)
+
+    def __pow__(self, n):
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return self.inverse() ** (-n)
+        if n == 0:
+            return self._wrap(1)
+        out = None
+        base = self
+        while True:
+            if n & 1:
+                out = base if out is None else out * base
+            n >>= 1
+            if not n:
+                return out
+            base = base * base
+
+
+class FieldOps(RingOps):
+    """``RingOps`` plus ``/`` and its reflection, through ``inverse()``."""
+
+    __slots__ = ()
+
+    def __truediv__(self, other):
+        o = self._wrap(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._wrap(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+
+class QuadExt(FieldOps):
     """rat + surd*sqrt(d) with rat, surd rational and d square-free, d > 1.
 
     The surd tag d travels with the value; operations on operands with
@@ -58,7 +126,7 @@ class QuadExt:
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt is immutable")
 
-    def _lift(self, other):
+    def _wrap(self, other):
         if isinstance(other, QuadExt):
             if other.d != self.d:
                 raise ValueError(
@@ -72,7 +140,7 @@ class QuadExt:
     # -- ring structure ------------------------------------------------
 
     def __add__(self, other):
-        o = self._lift(other)
+        o = self._wrap(other)
         if o is None:
             return NotImplemented
         return QuadExt._trusted(self.rat + o.rat, self.surd + o.surd, self.d)
@@ -82,20 +150,15 @@ class QuadExt:
     def __neg__(self):
         return QuadExt._trusted(-self.rat, -self.surd, self.d)
 
+    # direct Fraction arithmetic instead of + and -: hot in divisor_of
     def __sub__(self, other):
-        o = self._lift(other)
+        o = self._wrap(other)
         if o is None:
             return NotImplemented
         return QuadExt._trusted(self.rat - o.rat, self.surd - o.surd, self.d)
 
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
-        o = self._lift(other)
+        o = self._wrap(other)
         if o is None:
             return NotImplemented
         return QuadExt._trusted(
@@ -112,32 +175,6 @@ class QuadExt:
             raise ZeroDivisionError("division by zero in Q(sqrt(%d))" % self.d)
         return QuadExt._trusted(self.rat / n, -self.surd / n, self.d)
 
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = QuadExt._trusted(_ONE, _ZERO, self.d)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- field-specific ------------------------------------------------
 
     def conj(self) -> "QuadExt":
@@ -147,14 +184,6 @@ class QuadExt:
     def norm(self) -> Fraction:
         """Product with the conjugate, an ordinary rational."""
         return self.rat * self.rat - self.d * self.surd * self.surd
-
-    def is_rational(self) -> bool:
-        return self.surd == 0
-
-    def to_rational(self) -> Fraction:
-        if self.surd != 0:
-            raise ValueError("%s is irrational" % self)
-        return self.rat
 
     # -- comparisons / hashing ------------------------------------------
 
@@ -209,7 +238,6 @@ class QuadExt:
 
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def integer_sqrt_exact(n: int):

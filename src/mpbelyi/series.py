@@ -8,11 +8,14 @@ returning zero.  Division and square roots are exact in the coefficient
 field; nothing is ever rounded.
 
 Coefficient fields are the domain tags from the polynomial layer (or any
-object with the same small protocol), which lets one series type serve
-rational, quadratic-field, rational-function, and extension coefficients.
+object with the same small protocol, ``poly.Field``), which lets one series
+type serve rational, quadratic-field, rational-function, and extension
+coefficients; ``-``, ``/`` and ``**`` of series come from ``scalars.FieldOps``.
 """
 
 from __future__ import annotations
+
+from .scalars import FieldOps
 
 MAX_TRUNCATION = 64
 
@@ -25,7 +28,7 @@ class SeriesPrecisionError(ArithmeticError):
         self.needed = needed
 
 
-class LaurentSeries:
+class LaurentSeries(FieldOps):
     """Finite window of exponents with an O(t^prec) tail marker."""
 
     __slots__ = ("dom", "var", "coeffs", "prec")
@@ -83,9 +86,6 @@ class LaurentSeries:
             )
         return self.coeffs.get(k, self.dom.zero)
 
-    def is_zero_to_prec(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -121,18 +121,6 @@ class LaurentSeries:
         return LaurentSeries(
             self.dom, {k: -c for k, c in self.coeffs.items()}, self.prec, self.var
         )
-
-    def __sub__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def _effective_valuation(self) -> int:
         v = self.valuation()
@@ -187,35 +175,6 @@ class LaurentSeries:
                 g[n] = -s
         out = {e - v: c * inv_lead for e, c in g.items()}
         return LaurentSeries(self.dom, out, rel - v, self.var)
-
-    def __truediv__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("series powers must be integers")
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = None
-        base = self
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if n:
-                base = base * base
-        if out is None:
-            return LaurentSeries.const(self.dom, self.dom.one, self.prec, self.var)
-        return out
 
     def sqrt(self) -> "LaurentSeries":
         """Exact square root: valuation must be even and the leading

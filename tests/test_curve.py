@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from mpbelyi.curve import (
+    _PREC_LADDER,
     AffinePlace,
     BranchExt,
     BranchExtDomain,
@@ -21,6 +22,7 @@ from mpbelyi.curve import (
     j_invariant_quartic,
     local_series,
     order_at,
+    residue_of_quadratic_differential,
 )
 from mpbelyi.parse import parse_poly
 from mpbelyi.poly import MultiPoly, QQ, QuadDomain, RationalFunction
@@ -173,6 +175,21 @@ def test_order_at_extension_point():
     assert order_at(x - 1, place) == 1
     assert order_at(y, place) == 0
     assert order_at(y * y - 2, place) == 1
+
+
+def test_ladder_failure_names_every_rung():
+    c = curve_of(E_CUBIC)
+    place = c.point(2)  # unramified: y = 3
+    t70 = (c.x() - 2) ** 70
+    with pytest.raises(ArithmeticError) as order_err:
+        order_at(t70, place)
+    with pytest.raises(ArithmeticError) as residue_err:
+        residue_of_quadratic_differential(1 / t70, place)
+    for err, what in ((order_err, "vanished to the truncation"), (residue_err, "ZeroDivisionError")):
+        msg = str(err.value)
+        assert msg.count(what) == len(_PREC_LADDER) == 4
+        for prec in _PREC_LADDER:
+            assert "precision %d: %s" % (prec, what) in msg
 
 
 def test_orders_on_quartic_fixture():
