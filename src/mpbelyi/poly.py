@@ -621,7 +621,8 @@ def exact_divide(p: MultiPoly, q: MultiPoly):
         return p
     dom = p.dom
     qe, qc = q.leading()
-    tail = [(e, k) for e, k in q.terms.items() if e != qe]
+    # the tail of q negated once, so that the loop below only adds
+    tail = [(e, -k) for e, k in q.terms.items() if e != qe]
     rem = dict(p.terms)
     heap = [(_heap_key(e), e) for e in rem]
     heapq.heapify(heap)
@@ -642,10 +643,10 @@ def exact_divide(p: MultiPoly, q: MultiPoly):
             m = tuple(a + b for a, b in zip(diff, e))
             s = rem.get(m)
             if s is None:
-                rem[m] = -(c * k)
+                rem[m] = c * k
                 heapq.heappush(heap, (_heap_key(m), m))
             else:
-                s = s - c * k
+                s = s + c * k
                 if dom.is_zero(s):
                     del rem[m]
                 else:
@@ -798,8 +799,9 @@ def _dense_rem(a: list, b: list, dom) -> list:
     for k in range(len(r) - 1 - db, -1, -1):
         c = r[k + db]
         if not dom.is_zero(c):
+            c = -c  # negated once, so that the loop below only adds
             for j in range(db):
-                r[k + j] = r[k + j] - c * b[j]
+                r[k + j] = r[k + j] + c * b[j]
     del r[db:]
     while r and dom.is_zero(r[-1]):
         r.pop()
@@ -1151,12 +1153,17 @@ class RationalFunction(FieldOps):
 
     __radd__ = __add__
 
+    @classmethod
+    def _reduced(cls, num: MultiPoly, den: MultiPoly) -> "RationalFunction":
+        """num/den already coprime with den in normal form: no gcd."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        return out
+
     def __neg__(self):
         # negating a reduced numerator leaves the quotient reduced
-        out = object.__new__(RationalFunction)
-        object.__setattr__(out, "num", -self.num)
-        object.__setattr__(out, "den", self.den)
-        return out
+        return RationalFunction._reduced(-self.num, self.den)
 
     def __mul__(self, other):
         o = self._wrap(other)
@@ -1167,16 +1174,14 @@ class RationalFunction(FieldOps):
     __rmul__ = __mul__
 
     def inverse(self) -> "RationalFunction":
-        return RationalFunction(self.den, self.num)  # ZeroDivisionError on zero
-
-    # one normalisation (one multivariate gcd) instead of two via inverse()
-    def __truediv__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        if not o:
+        # num and den stay coprime; only the new denominator's unit moves
+        if not self.num:
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
+        u, den = self.num.primitive()
+        num = self.den
+        if u != num.dom.one:
+            num = num.scale(num.dom.div(num.dom.one, u))
+        return RationalFunction._reduced(num, den)
 
     # one normalisation of num**n/den**n instead of one per product
     def __pow__(self, n):

@@ -150,13 +150,6 @@ class QuadExt(FieldOps):
     def __neg__(self):
         return QuadExt._trusted(-self.rat, -self.surd, self.d)
 
-    # direct Fraction arithmetic instead of + and -: hot in divisor_of
-    def __sub__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return QuadExt._trusted(self.rat - o.rat, self.surd - o.surd, self.d)
-
     def __mul__(self, other):
         o = self._wrap(other)
         if o is None:

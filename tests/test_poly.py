@@ -184,6 +184,8 @@ def test_pow_matches_repeated_mul():
         acc = acc * p
     with pytest.raises(ValueError):
         p ** (-1)
+    with pytest.raises(ValueError):
+        MultiPoly.const(QQ, ("x", "y"), 2) ** (-1)
 
 
 def test_subs_agrees_with_evaluation():
