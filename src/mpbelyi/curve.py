@@ -5,7 +5,14 @@ coefficient field.  Functions on the curve are P(x) + y*Q(x) with rational
 P, Q.  The module provides places (affine points, branch points, places at
 infinity), exact local Laurent expansions in a uniformizer, orders of
 vanishing, divisors grouped by conjugacy cluster, residues of quadratic
-differentials, and exact j-invariants.
+differentials, and exact j-invariants (one formula, from the invariants of
+the binary quartic; a cubic is a quartic with no x^4 term).
+
+The four place types share one base, ``_Place``: it holds the curve and the
+field the local frames live in, compares places by type, curve and the
+place's own data, and builds every frame by one recipe.  x(t) is given by
+its exact terms (x0 + t, x0 + t^2, 1/t or 1/t^2), dx/dt is their term-wise
+derivative, and y(t) is the square root of f(x(t)) that the place selects.
 
 Points whose y-coordinate lives outside the coefficient field are handled
 by a lightweight on-demand quadratic extension carrying y as a formal
@@ -51,15 +58,10 @@ class BranchExt(FieldOps):
         raise AttributeError("BranchExt is immutable")
 
     def _wrap(self, other):
-        if isinstance(other, BranchExt):
-            if other.ext is not self.ext and other.ext != self.ext:
-                return None
-            return other
         try:
-            base = self.ext.base.coerce(other)
+            return self.ext.coerce(other)
         except TypeError:
             return None
-        return BranchExt(base, self.ext.base.zero, self.ext)
 
     def __add__(self, other):
         o = self._wrap(other)
@@ -107,8 +109,7 @@ class BranchExt(FieldOps):
         o = self._wrap(other)
         if o is None:
             return NotImplemented
-        base = self.ext.base
-        return base.is_zero(self.a - o.a) and base.is_zero(self.b - o.b)
+        return self.a == o.a and self.b == o.b
 
     def __hash__(self):
         # equal to its base element when b is zero, so hash like it
@@ -155,18 +156,24 @@ class BranchExtDomain(Field):
         return self.coerce(x) / self.coerce(y)
 
     def sqrt(self, x):
+        """A square root of x in base(w), or None.  (u + v*w)^2 = x splits
+        into u^2 + r*v^2 = a and 2*u*v = b, so the norm a^2 - r*b^2 is the
+        square of u^2 - r*v^2 and u^2 is (a +- sqrt(norm))/2."""
+        base = self.base
         x = self.coerce(x)
-        if self.base.is_zero(x.b):
-            r = self.base.sqrt(x.a)
+        if base.is_zero(x.b):
+            r = base.sqrt(x.a)
             if r is not None:
-                return BranchExt(r, self.base.zero, self)
-            try:
-                q = self.base.div(x.a, self.radicand)
-            except ZeroDivisionError:
-                return None
-            r2 = self.base.sqrt(q)
-            if r2 is not None:
-                return BranchExt(self.base.zero, r2, self)
+                return BranchExt(r, base.zero, self)
+            r = base.sqrt(base.div(x.a, self.radicand))
+            return None if r is None else BranchExt(base.zero, r, self)
+        e = base.sqrt(x.norm())
+        if e is None:
+            return None
+        for s in (e, -e):
+            u = base.sqrt(base.div(x.a + s, base.coerce(2)))
+            if u is not None and not base.is_zero(u):
+                return BranchExt(u, base.div(x.b, u * 2), self)
         return None
 
     def render(self, x) -> str:
@@ -177,7 +184,7 @@ class BranchExtDomain(Field):
         return (
             isinstance(other, BranchExtDomain)
             and other.base == self.base
-            and self.base.is_zero(other.radicand - self.radicand)
+            and other.radicand == self.radicand
         )
 
     def __hash__(self):
@@ -396,131 +403,124 @@ def _eval_ratfunc_series(rf: RationalFunction, x_ser: LaurentSeries) -> LaurentS
     return num / den
 
 
-class AffinePlace:
+class _Place:
+    """A place of the curve.  edom is the field its local frames live in;
+    places are equal when they have the same type, curve and _key()."""
+
+    def __init__(self, curve: CurveModel, edom):
+        self.curve = curve
+        self.edom = edom
+
+    def _key(self):
+        return ()
+
+    def conjugate(self):
+        """The image under y -> -y; a ramified place is its own."""
+        return self
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.curve.f == other.curve.f
+            and self._key() == other._key()
+        )
+
+    def _frame(self, x_terms: dict, window: int, y0=None, sign: int = 1) -> _Frame:
+        """The frame with x(t) the sum of x_terms {exponent: coefficient}
+        (integer coefficients but for the constant x0) and dx/dt their
+        term-wise derivative, both known below t^window.  y(t) is
+        y0*sqrt(f(x(t))/y0^2) when y0 is given, else sign*sqrt(f(x(t)))."""
+        dom = self.edom
+        x_ser = LaurentSeries(dom, {k: dom.coerce(c) for k, c in x_terms.items()}, window)
+        dxdt = LaurentSeries(dom, {k - 1: dom.coerce(k * c) for k, c in x_terms.items() if k}, window)
+        f_ser = _eval_poly_series(self.curve.f, x_ser)
+        if y0 is None:
+            y_ser = f_ser.sqrt()
+            return _Frame(dom, x_ser, y_ser if sign > 0 else -y_ser, dxdt)
+        y0 = dom.coerce(y0)
+        y_ser = (f_ser * dom.div(dom.one, y0 * y0)).sqrt() * y0
+        return _Frame(dom, x_ser, y_ser, dxdt)
+
+
+class AffinePlace(_Place):
     """Unramified affine point (x0, y0); uniformizer t = x - x0."""
 
     kind = "affine"
 
     def __init__(self, curve: CurveModel, x0, y0):
-        self.curve = curve
+        super().__init__(curve, y0.ext if isinstance(y0, BranchExt) else curve.dom)
         self.x0 = x0
         self.y0 = y0
-        self.edom = y0.ext if isinstance(y0, BranchExt) else curve.dom
+
+    def _key(self):
+        return (self.x0, self.y0)
 
     def conjugate(self):
         return AffinePlace(self.curve, self.x0, -self.y0)
 
     def frame(self, prec: int) -> _Frame:
-        dom = self.edom
-        x_ser = LaurentSeries(dom, {0: dom.coerce(self.x0), 1: dom.one}, prec)
-        f_ser = _eval_poly_series(self.curve.f, x_ser)
-        y0 = dom.coerce(self.y0)
-        inv_sq = dom.div(dom.one, y0 * y0)
-        y_ser = (f_ser * inv_sq).sqrt() * y0
-        dxdt = LaurentSeries.const(dom, dom.one, prec)
-        return _Frame(dom, x_ser, y_ser, dxdt)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AffinePlace)
-            and self.curve.f == other.curve.f
-            and self.curve.dom.is_zero(self.x0 - other.x0)
-            and self.y0 == other.y0
-        )
+        return self._frame({0: self.x0, 1: 1}, prec, y0=self.y0)
 
     def __str__(self):
         return "(x=%s, y=%s)" % (self.curve.dom.render(self.x0), self.y0)
 
 
-class RamifiedAffinePlace:
+class RamifiedAffinePlace(_Place):
     """Branch point (x0, 0); uniformizer t with x = x0 + t^2."""
 
     kind = "affine_ramified"
 
     def __init__(self, curve: CurveModel, x0):
-        self.curve = curve
-        self.x0 = x0
         fp = curve.f.derivative("x").eval_scalars({"x": x0})
-        self.edom = _series_domain_for(curve.dom, fp)
+        super().__init__(curve, _series_domain_for(curve.dom, fp))
+        self.x0 = x0
+
+    def _key(self):
+        return (self.x0,)
 
     def frame(self, prec: int) -> _Frame:
-        dom = self.edom
-        x_ser = LaurentSeries(dom, {0: dom.coerce(self.x0), 2: dom.one}, prec)
-        f_ser = _eval_poly_series(self.curve.f, x_ser)
-        y_ser = f_ser.sqrt()
-        dxdt = LaurentSeries(dom, {1: dom.coerce(2)}, prec)
-        return _Frame(dom, x_ser, y_ser, dxdt)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RamifiedAffinePlace)
-            and self.curve.f == other.curve.f
-            and self.curve.dom.is_zero(self.x0 - other.x0)
-        )
+        return self._frame({0: self.x0, 2: 1}, prec)
 
     def __str__(self):
         return "(x=%s, y=0)" % self.curve.dom.render(self.x0)
 
 
-class InfinitePlace:
+class InfinitePlace(_Place):
     """One of the two places over x = infinity on a quartic model;
     uniformizer t = 1/x, branch tagged by the sign of y/x^2."""
 
     kind = "infinite"
 
     def __init__(self, curve: CurveModel, sign: int):
-        self.curve = curve
-        self.sign = 1 if sign >= 0 else -1
         lc = curve.f.coeff_of_power("x", 4).constant_value()
-        self.edom = _series_domain_for(curve.dom, lc)
+        super().__init__(curve, _series_domain_for(curve.dom, lc))
+        self.sign = 1 if sign >= 0 else -1
+
+    def _key(self):
+        return (self.sign,)
 
     def conjugate(self):
         return InfinitePlace(self.curve, -self.sign)
 
     def frame(self, prec: int) -> _Frame:
-        dom = self.edom
-        window = prec + 6
-        x_ser = LaurentSeries(dom, {-1: dom.one}, window)
-        f_ser = _eval_poly_series(self.curve.f, x_ser)
-        y_ser = f_ser.sqrt()
-        if self.sign < 0:
-            y_ser = -y_ser
-        dxdt = LaurentSeries(dom, {-2: -dom.one}, window)
-        return _Frame(dom, x_ser, y_ser, dxdt)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, InfinitePlace)
-            and self.curve.f == other.curve.f
-            and self.sign == other.sign
-        )
+        return self._frame({-1: 1}, prec + 6, sign=self.sign)
 
     def __str__(self):
         return "(x=inf, branch %s)" % ("+" if self.sign > 0 else "-")
 
 
-class RamifiedInfinitePlace:
+class RamifiedInfinitePlace(_Place):
     """The single place over x = infinity on a cubic model;
     uniformizer t with x = 1/t^2."""
 
     kind = "infinite_ramified"
 
     def __init__(self, curve: CurveModel):
-        self.curve = curve
         lc = curve.f.coeff_of_power("x", 3).constant_value()
-        self.edom = _series_domain_for(curve.dom, lc)
+        super().__init__(curve, _series_domain_for(curve.dom, lc))
 
     def frame(self, prec: int) -> _Frame:
-        dom = self.edom
-        window = prec + 8
-        x_ser = LaurentSeries(dom, {-2: dom.one}, window)
-        f_ser = _eval_poly_series(self.curve.f, x_ser)
-        y_ser = f_ser.sqrt()
-        dxdt = LaurentSeries(dom, {-3: dom.coerce(-2)}, window)
-        return _Frame(dom, x_ser, y_ser, dxdt)
-
-    def __eq__(self, other):
-        return isinstance(other, RamifiedInfinitePlace) and self.curve.f == other.curve.f
+        return self._frame({-2: 1}, prec + 8)
 
     def __str__(self):
         return "(x=inf, ramified)"
@@ -742,50 +742,32 @@ def divisor_of(elem: FunctionFieldElement) -> Divisor:
 # j-invariants
 
 
-def _j_from_c4_c6(dom, c4, c6):
-    num = c4 * c4 * c4
-    disc_scaled = num - c6 * c6
-    if dom.is_zero(disc_scaled):
-        raise ValueError("singular model: discriminant vanishes")
-    return dom.div(num * 1728, disc_scaled)
-
-
-def j_invariant_cubic(f: MultiPoly):
-    """Exact j of y^2 = cubic, via the standard c4/c6 covariants after
-    absorbing the leading coefficient."""
+def _j_of_binary_quartic(f: MultiPoly, degree: int):
+    """j = 6912*I^3/(4*I^3 - J^2) from the degree-2 and degree-3 invariants
+    I, J of f = a*x^4 + b*x^3 + c*x^2 + d*x + e as a binary quartic; a cubic
+    is the quartic with a = 0, so y^2 = x^3 + A*x + B gets
+    1728*4*A^3/(4*A^3 + 27*B^2)."""
+    if f.degree_in("x") != degree:
+        raise ValueError("%s model expected" % ("cubic" if degree == 3 else "quartic"))
     dom = f.dom
-    if f.degree_in("x") != 3:
-        raise ValueError("cubic model expected")
-    coeffs = f.univariate_coeffs("x")
-    d, c, b, a = coeffs[0], coeffs[1], coeffs[2], coeffs[3]
-    # X = a*x, Y = a*y turns y^2 = a x^3 + b x^2 + c x + d
-    # into Y^2 = X^3 + b X^2 + (a c) X + a^2 d
-    a2 = b
-    a4 = a * c
-    a6 = a * a * d
-    b2 = a2 * 4
-    b4 = a4 * 2
-    b6 = a6 * 4
-    c4 = b2 * b2 - b4 * 24
-    c6 = -(b2 * b2 * b2) + b2 * b4 * 36 - b6 * 216
-    return _j_from_c4_c6(dom, c4, c6)
-
-
-def j_invariant_quartic(f: MultiPoly):
-    """Exact j of y^2 = quartic, via the degree-2 and degree-3 invariants
-    of the binary quartic."""
-    dom = f.dom
-    if f.degree_in("x") != 4:
-        raise ValueError("quartic model expected")
-    cs = f.univariate_coeffs("x")
-    e, d, c, b, a = cs[0], cs[1], cs[2], cs[3], cs[4]
+    e, d, c, b, a = f.univariate_coeffs("x") + [dom.zero] * (4 - degree)
     i2 = a * e * 12 - b * d * 3 + c * c
     j3 = a * c * e * 72 - a * d * d * 27 - e * b * b * 27 + b * c * d * 9 - c * c * c * 2
     num = i2 * i2 * i2
     den = num * 4 - j3 * j3
     if dom.is_zero(den):
-        raise ValueError("singular model: quartic discriminant vanishes")
+        raise ValueError("singular model: discriminant vanishes")
     return dom.div(num * 6912, den)
+
+
+def j_invariant_cubic(f: MultiPoly):
+    """Exact j of y^2 = cubic."""
+    return _j_of_binary_quartic(f, 3)
+
+
+def j_invariant_quartic(f: MultiPoly):
+    """Exact j of y^2 = quartic."""
+    return _j_of_binary_quartic(f, 4)
 
 
 def j_invariant(curve: CurveModel):

@@ -1291,14 +1291,8 @@ def ratfunc_sqrt(rf: RationalFunction):
         if r is None:
             return None
         return RationalFunction(MultiPoly.const(rf.num.dom, rf.num.vars, r))
-    n = poly_sqrt(rf.num, name) if rf.num.uses(name) else None
-    if n is None and not rf.num.uses(name):
-        c = rf.num.dom.sqrt(rf.num.constant_value())
-        n = MultiPoly.const(rf.num.dom, rf.num.vars, c) if c is not None else None
-    d = poly_sqrt(rf.den, name) if rf.den.uses(name) else None
-    if d is None and not rf.den.uses(name):
-        c = rf.num.dom.sqrt(rf.den.constant_value())
-        d = MultiPoly.const(rf.num.dom, rf.num.vars, c) if c is not None else None
+    n = poly_sqrt(rf.num, name)
+    d = poly_sqrt(rf.den, name)
     if n is None or d is None:
         return None
     return RationalFunction(n, d)

@@ -31,14 +31,13 @@ class SeriesPrecisionError(ArithmeticError):
 class LaurentSeries(FieldOps):
     """Finite window of exponents with an O(t^prec) tail marker."""
 
-    __slots__ = ("dom", "var", "coeffs", "prec")
+    __slots__ = ("dom", "coeffs", "prec")
 
-    def __init__(self, dom, coeffs: dict, prec: int, var: str = "t"):
+    def __init__(self, dom, coeffs: dict, prec: int):
         # precision beyond the cap is clamped, never manufactured; adaptive
         # refinement loops treat a demand past the cap as a hard failure
         prec = min(prec, MAX_TRUNCATION)
         self.dom = dom
-        self.var = var
         self.prec = prec
         self.coeffs = {
             k: c for k, c in coeffs.items() if k < prec and not dom.is_zero(c)
@@ -47,26 +46,21 @@ class LaurentSeries(FieldOps):
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, dom, prec: int, var: str = "t"):
-        return cls(dom, {}, prec, var)
+    def zero(cls, dom, prec: int):
+        return cls(dom, {}, prec)
 
     @classmethod
-    def const(cls, dom, value, prec: int, var: str = "t"):
-        return cls(dom, {0: dom.coerce(value)}, prec, var)
+    def const(cls, dom, value, prec: int):
+        return cls(dom, {0: dom.coerce(value)}, prec)
 
     @classmethod
-    def uniformizer(cls, dom, prec: int, var: str = "t"):
-        return cls(dom, {1: dom.one}, prec, var)
+    def uniformizer(cls, dom, prec: int):
+        return cls(dom, {1: dom.one}, prec)
 
     @classmethod
-    def from_coeff_list(cls, dom, start: int, values, prec: int, var: str = "t"):
-        """values[i] is the coefficient of var**(start+i)."""
-        return cls(
-            dom,
-            {start + i: dom.coerce(v) for i, v in enumerate(values)},
-            prec,
-            var,
-        )
+    def from_coeff_list(cls, dom, start: int, values, prec: int):
+        """values[i] is the coefficient of t**(start+i)."""
+        return cls(dom, {start + i: dom.coerce(v) for i, v in enumerate(values)}, prec)
 
     # -- inspection -----------------------------------------------------------
 
@@ -80,8 +74,8 @@ class LaurentSeries(FieldOps):
     def coefficient_of(self, k: int):
         if k >= self.prec:
             raise SeriesPrecisionError(
-                "coefficient of %s^%d requested but series is only known "
-                "below order %d" % (self.var, k, self.prec),
+                "coefficient of t^%d requested but series is only known "
+                "below order %d" % (k, self.prec),
                 needed=k + 1,
             )
         return self.coeffs.get(k, self.dom.zero)
@@ -90,7 +84,7 @@ class LaurentSeries(FieldOps):
         return bool(self.coeffs)
 
     def _check(self, other: "LaurentSeries"):
-        if self.dom != other.dom or self.var != other.var:
+        if self.dom != other.dom:
             raise ValueError("series live over different coefficient fields")
 
     def _wrap(self, x):
@@ -98,7 +92,7 @@ class LaurentSeries(FieldOps):
             self._check(x)
             return x
         try:
-            return LaurentSeries.const(self.dom, x, self.prec, self.var)
+            return LaurentSeries.const(self.dom, x, self.prec)
         except TypeError:
             return None
 
@@ -113,14 +107,12 @@ class LaurentSeries(FieldOps):
         for k, c in o.coeffs.items():
             cur = out.get(k)
             out[k] = c if cur is None else cur + c
-        return LaurentSeries(self.dom, out, prec, self.var)
+        return LaurentSeries(self.dom, out, prec)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentSeries(
-            self.dom, {k: -c for k, c in self.coeffs.items()}, self.prec, self.var
-        )
+        return LaurentSeries(self.dom, {k: -c for k, c in self.coeffs.items()}, self.prec)
 
     def _effective_valuation(self) -> int:
         v = self.valuation()
@@ -141,18 +133,13 @@ class LaurentSeries(FieldOps):
                 prod = ci * cj
                 cur = out.get(k)
                 out[k] = prod if cur is None else cur + prod
-        return LaurentSeries(self.dom, out, prec, self.var)
+        return LaurentSeries(self.dom, out, prec)
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "LaurentSeries":
-        """Multiply by var**k."""
-        return LaurentSeries(
-            self.dom,
-            {e + k: c for e, c in self.coeffs.items()},
-            self.prec + k,
-            self.var,
-        )
+        """Multiply by t**k."""
+        return LaurentSeries(self.dom, {e + k: c for e, c in self.coeffs.items()}, self.prec + k)
 
     def inverse(self) -> "LaurentSeries":
         v = self.valuation()
@@ -174,7 +161,7 @@ class LaurentSeries(FieldOps):
             if not self.dom.is_zero(s):
                 g[n] = -s
         out = {e - v: c * inv_lead for e, c in g.items()}
-        return LaurentSeries(self.dom, out, rel - v, self.var)
+        return LaurentSeries(self.dom, out, rel - v)
 
     def sqrt(self) -> "LaurentSeries":
         """Exact square root: valuation must be even and the leading
@@ -203,14 +190,14 @@ class LaurentSeries(FieldOps):
             if not self.dom.is_zero(cn):
                 s[n] = cn
         out = {e + v // 2: c * root for e, c in s.items()}
-        return LaurentSeries(self.dom, out, rel + v // 2, self.var)
+        return LaurentSeries(self.dom, out, rel + v // 2)
 
     def derivative(self) -> "LaurentSeries":
         out = {}
         for k, c in self.coeffs.items():
             if k != 0:
                 out[k - 1] = c * k
-        return LaurentSeries(self.dom, out, self.prec - 1, self.var)
+        return LaurentSeries(self.dom, out, self.prec - 1)
 
     def compose(self, inner: "LaurentSeries") -> "LaurentSeries":
         """Substitute the series variable by ``inner`` (valuation >= 1).
@@ -224,11 +211,11 @@ class LaurentSeries(FieldOps):
         if vi is None or vi < 1:
             raise ValueError("composition needs an inner series of valuation >= 1")
         if not self.coeffs:
-            return LaurentSeries.zero(self.dom, vi * self.prec, self.var)
+            return LaurentSeries.zero(self.dom, vi * self.prec)
         lo = min(self.coeffs)
         hi = max(self.coeffs)
         prec = min(vi * self.prec, (lo - 1) * vi + inner.prec)
-        out = LaurentSeries.zero(self.dom, prec, self.var)
+        out = LaurentSeries.zero(self.dom, prec)
         power = inner**lo
         for k in range(lo, hi + 1):
             c = self.coeffs.get(k)
@@ -255,22 +242,22 @@ class LaurentSeries(FieldOps):
 
     def __str__(self):
         if not self.coeffs:
-            return "O(%s^%d)" % (self.var, self.prec)
+            return "O(t^%d)" % self.prec
         bits = []
         for k in sorted(self.coeffs):
             c = self.dom.render(self.coeffs[k])
             if k == 0:
                 mono = ""
             elif k == 1:
-                mono = self.var
+                mono = "t"
             else:
-                mono = "%s^%d" % (self.var, k)
+                mono = "t^%d" % k
             body = c if not mono else ("%s*%s" % (c, mono) if c not in ("1", "-1") else ("-" + mono if c == "-1" else mono))
             if bits and not body.startswith("-"):
                 bits.append("+" + body)
             else:
                 bits.append(body)
-        return "%s+O(%s^%d)" % ("".join(bits), self.var, self.prec)
+        return "%s+O(t^%d)" % ("".join(bits), self.prec)
 
     def __repr__(self):
         return "LaurentSeries(%s)" % self

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mpbelyi.curve import (
     _PREC_LADDER,
@@ -27,6 +29,10 @@ from mpbelyi.curve import (
 from mpbelyi.parse import parse_poly
 from mpbelyi.poly import MultiPoly, QQ, QuadDomain, RationalFunction
 from mpbelyi.scalars import QuadExt
+from mpbelyi.series import MAX_TRUNCATION, LaurentSeries
+
+PROPS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+small_q = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 
 
 def curve_of(text, dom=None):
@@ -81,6 +87,35 @@ def test_branchext_sqrt_recognizes_radicand_multiples():
     assert r is not None and r * r == ext.coerce(12)
     assert ext.sqrt(ext.coerce(5)) is None
     assert ext.sqrt(ext.coerce(Fraction(9, 4))) == ext.coerce(Fraction(3, 2))
+
+
+W7 = BranchExtDomain(QQ, Fraction(7))
+WQ = BranchExtDomain(QuadDomain(105), QuadExt(595, -23, 105))
+quad = st.builds(lambda r, s: QuadExt(r, s, 105), small_q, small_q)
+branch_elements = st.one_of(
+    st.builds(lambda a, b: BranchExt(a, b, W7), small_q, small_q),
+    st.builds(lambda a, b: BranchExt(a, b, WQ), quad, quad),
+)
+
+
+@PROPS
+@given(branch_elements)
+def test_branchext_sqrt_finds_every_square(z):
+    ext = z.ext
+    r = ext.sqrt(z * z)
+    assert r is not None and (r == z or r == -z)
+    if z:
+        # w and 3 are not squares in either field; 3*z^2 has a square norm
+        assert ext.sqrt(z * z * ext.w()) is None
+        assert ext.sqrt(z * z * 3) is None
+
+
+def test_series_sqrt_over_a_branch_field_with_a_w_part():
+    w = W7.w()
+    s = LaurentSeries(W7, {0: (1 + w) * (1 + w), 1: w}, 8)
+    r = s.sqrt()
+    assert r.coefficient_of(0) in (1 + w, -1 - w)
+    assert r * r == s and r.prec == s.prec
 
 
 # -- model validation ------------------------------------------------------------
@@ -143,6 +178,69 @@ def test_frame_with_extension_satisfies_curve_equation():
     f_ser = fr.x ** 3 + fr.dom.one
     assert not (fr.y * fr.y - f_ser)
     assert fr.y.coefficient_of(0) == fr.dom.w()
+
+
+# window of x(t), dx/dt and y(t) beyond the requested precision, by kind
+WINDOW = {"affine": 0, "affine_ramified": 0, "infinite": 6, "infinite_ramified": 8}
+
+
+def law_places(dom):
+    """Each place type twice: with frames over dom and over a branch field
+    of dom.  On y^2 = x^3 + 2x^2 - 3x, f(3) = 36 and f'(1) = 4 are squares
+    and f(2) = 10 and f'(0) = -3 are not; at infinity the leading
+    coefficient 1 is a square and 2 is not."""
+    a = curve_of("x^3+2*x^2-3*x", dom)
+    return [
+        a.point(3), a.point(3, branch=-1), a.point(2), a.point(2, branch=-1),
+        a.point(1), a.point(0),
+        *a.places_at_infinity(),
+        *curve_of("2*x^3+1", dom).places_at_infinity(),
+        *curve_of("x^4+1", dom).places_at_infinity(),
+        *curve_of("2*x^4+1", dom).places_at_infinity(),
+    ]
+
+
+@pytest.mark.parametrize("dom", [QQ, QuadDomain(105)], ids=["QQ", "Q(sqrt105)"])
+def test_frame_laws_for_every_place_type(dom):
+    places = law_places(dom)
+    seen = set()
+    for p in places:
+        fr = p.frame(10)
+        seen.add((p.kind, isinstance(fr.dom, BranchExtDomain)))
+        assert fr.dom == p.edom and (fr.dom == dom or fr.dom.base == dom)
+        assert fr.x.prec == fr.dxdt.prec == 10 + WINDOW[p.kind]
+        derivative = {k - 1: c * k for k, c in fr.x.coeffs.items() if k}
+        assert fr.dxdt.coeffs == derivative
+        f_ser = LaurentSeries.zero(fr.dom, MAX_TRUNCATION)
+        for k, c in enumerate(p.curve.f.univariate_coeffs("x")):
+            f_ser = f_ser + fr.x**k * c
+        assert not (fr.y * fr.y - f_ser)
+        if p.kind == "affine":
+            assert fr.y.coefficient_of(0) == p.y0
+        assert p.conjugate().conjugate() == p
+    assert seen == {(kind, ext) for kind in WINDOW for ext in (False, True)}
+    for i, p in enumerate(places):
+        for j, q in enumerate(places):
+            assert (p == q) == (i == j), (str(p), str(q))
+
+
+def test_places_are_equal_by_type_curve_and_data():
+    c = curve_of("x^3+2*x^2-3*x")
+    assert c.point(3) == c.point(Fraction(3), y0=Fraction(6)) == c.point(3, branch=-1).conjugate()
+    assert c.point(1) == c.point(1).conjugate() == RamifiedAffinePlace(c, Fraction(1))
+    assert c.places_at_infinity() == curve_of("x^3+2*x^2-3*x").places_at_infinity()
+    assert c.places_at_infinity() != curve_of("x^3+1").places_at_infinity()
+    plus, minus = curve_of("x^4+1").places_at_infinity()
+    assert plus.conjugate() == minus != plus
+
+
+def test_place_methods_the_benchmark_counts_stay_in_each_class():
+    # perfbench/tracing.py wraps only a class's own methods: moving these into
+    # a base would silently empty curve.frame and scalars.branchext_ops
+    for cls in (AffinePlace, RamifiedAffinePlace, InfinitePlace, RamifiedInfinitePlace):
+        assert "frame" in vars(cls), cls
+    for name in ("__add__", "__neg__", "__mul__", "inverse"):
+        assert name in vars(BranchExt), name
 
 
 # -- orders -----------------------------------------------------------------------
@@ -358,6 +456,17 @@ def test_j_twist_invariance():
     f = parse_poly("x^4+x^3+2", ("x",))
     g = f.scale(3)
     assert j_invariant_quartic(f) == j_invariant_quartic(g)
+
+
+@PROPS
+@given(small_q, small_q, small_q.filter(bool), small_q)
+def test_j_of_a_moved_short_cubic(A, B, u, r):
+    disc = 4 * A**3 + 27 * B**2
+    assume(disc)
+    x = MultiPoly.var(QQ, ("x",), "x")
+    moved = x.scale(u) + r
+    f = moved**3 + moved.scale(A) + B
+    assert j_invariant_cubic(f) == 1728 * 4 * A**3 / disc
 
 
 def test_j_on_quadratic_field_curve():
