@@ -6,7 +6,7 @@ instances of ``Field``: QQ (Fraction), QuadDomain(d) (elements of
 Q(sqrt(d))), FractionFieldDomain (coefficients that are themselves rational
 functions, used for series with symbolic parameters) and, in ``curve``,
 the branch extensions BranchExtDomain.  The one ring is ZZ (Python ints),
-which only the elimination layer uses.
+which products over QQ and the elimination layer run on.
 
 The elimination-theory layer (gcd, resultants, fraction-free determinants,
 nullspaces) runs on these polynomials with divisions that are exact by
@@ -15,7 +15,9 @@ and ``det_fraction_free`` clear the denominators of QQ input (per
 polynomial, per matrix row), run the subresultant PRS (G. E. Collins 1967;
 W. S. Brown 1971) or Bareiss's elimination (E. H. Bareiss 1968) on ZZ,
 where every exact division is an integer ``//``, and scale the result back
-to QQ once.  On the benchmark's eliminations that removes nearly all
+to QQ once.  A product of two QQ polynomials does the same: it multiplies
+their cleared integer forms and scales each output term back once.  On the
+benchmark's eliminations and series expansions that removes nearly all
 ``Fraction`` arithmetic.
 
 One normal-form rule covers every domain: a nonzero polynomial is
@@ -26,7 +28,11 @@ primitive-integer form (integer coefficients with gcd 1 and a positive
 leading coefficient) that the elimination goldens are stored in.  That is
 the form of gcds, of ``primitive`` parts and of the denominator of a
 ``RationalFunction``, so equal rational functions have identical num and
-den.
+den, and ``==`` compares those parts.  A constant denominator is a unit, so
+normalising num/k runs no gcd: it is num*(1/k) over one.  Nor does a
+constant numerator, which only moves the denominator's unit.  Over
+Frac(Q[a,c]) every coefficient of the ansatz curve's frames takes the
+first of these paths.
 
 A univariate gcd over Q(sqrt(d)) (``euclid`` set) runs monic Euclid, which
 keeps every remainder monic and so bounds coefficient growth; everything
@@ -58,7 +64,8 @@ from .scalars import FieldOps, QuadExt, RingOps, quadext_sqrt, rational_sqrt_exa
 
 class Field:
     """Coefficient domain protocol.  Every domain in the package is a field,
-    except ``ZZ``, the one ring, which only the elimination layer uses.
+    except ``ZZ``, the one ring, which QQ products and the elimination
+    layer run on.
 
     Subclasses provide ``name``, ``zero``, ``one``, ``coerce`` (which returns
     the domain's own elements unchanged) and ``sqrt``, and override the rest
@@ -195,7 +202,14 @@ class FractionFieldDomain(Field):
                 raise TypeError("mismatched fraction field")
             return RationalFunction(x)
         c = self.inner_dom.coerce(x)
-        return RationalFunction(MultiPoly.const(self.inner_dom, self.inner_vars, c))
+        if self.inner_dom.is_zero(c):
+            return self.zero
+        if c == self.inner_dom.one:
+            return self.one
+        # a constant over one is already reduced
+        return RationalFunction._reduced(
+            MultiPoly.const(self.inner_dom, self.inner_vars, c), self.one.den
+        )
 
     def sqrt(self, x):
         return ratfunc_sqrt(x)
@@ -212,11 +226,12 @@ class FractionFieldDomain(Field):
 
 
 class IntegerRing:
-    """ZZ: Python ints, the coefficient ring that ``resultant``,
-    ``discriminant`` and ``det_fraction_free`` run on after clearing the
-    denominators of their QQ input.  It is not a field: ``quo`` is exact
-    integer division, None when a remainder is left, and the normal unit is
-    the content with the sign of the leading coefficient."""
+    """ZZ: Python ints, the coefficient ring that QQ products,
+    ``resultant``, ``discriminant`` and ``det_fraction_free`` run on after
+    clearing the denominators of their QQ input.  It is not a field:
+    ``quo`` is exact integer division, None when a remainder is left, and
+    the normal unit is the content with the sign of the leading
+    coefficient."""
 
     name = "ZZ"
     euclid = False
@@ -267,6 +282,24 @@ def _grlex_key(exps):
 def _heap_key(exps):
     # graded-lex order reversed, so heapq's min-heap pops the largest first
     return (-sum(exps), tuple(-x for x in exps))
+
+
+def _mul_terms(p: dict, q: dict) -> dict:
+    """The schoolbook product of two term dicts; sums that cancel stay in
+    as zeros for the ``MultiPoly`` constructor to drop."""
+    if len(p) > len(q):
+        p, q = q, p
+    out: dict = {}
+    for ea, ca in p.items():
+        for eb, cb in q.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            prod = ca * cb
+            s = out.get(e)
+            if s is None:
+                out[e] = prod
+            else:
+                out[e] = s + prod
+    return out
 
 
 class MultiPoly(RingOps):
@@ -389,21 +422,13 @@ class MultiPoly(RingOps):
             return NotImplemented
         if not self.terms or not o.terms:
             return MultiPoly.zero(self.dom, self.vars)
-        if len(self.terms) > len(o.terms):
-            a, b = o, self
-        else:
-            a, b = self, o
-        out: dict = {}
-        for ea, ca in a.terms.items():
-            for eb, cb in b.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                prod = ca * cb
-                s = out.get(e)
-                if s is None:
-                    out[e] = prod
-                else:
-                    out[e] = s + prod
-        return MultiPoly(self.dom, self.vars, out)
+        if self.dom != QQ or len(self.terms) == 1 or len(o.terms) == 1:
+            # a one-term factor only scales: no cheaper on integers
+            return MultiPoly(self.dom, self.vars, _mul_terms(self.terms, o.terms))
+        # over QQ: an integer product, scaled back once per output term
+        (la, (za,)), (lb, (zb,)) = _clear_denominators([self]), _clear_denominators([o])
+        zp = MultiPoly(ZZ, self.vars, _mul_terms(za.terms, zb.terms))
+        return _to_qq(zp, Fraction(1, la * lb))
 
     __rmul__ = __mul__
 
@@ -1095,16 +1120,26 @@ class LinearSystem:
 def _rf_normalize(num: MultiPoly, den: MultiPoly):
     if not den:
         raise ZeroDivisionError("rational function with zero denominator")
+    dom = num.dom
     if not num:
-        one = MultiPoly.const(num.dom, num.vars, num.dom.one)
-        return num, one
+        return num, MultiPoly.const(dom, num.vars, dom.one)
+    if den.is_constant():
+        # a unit: num/den over one, with no gcd
+        cd = den.constant_value()
+        if cd == dom.one:
+            return num, den
+        return num.scale(dom.div(dom.one, cd)), MultiPoly.const(dom, num.vars, dom.one)
+    if num.is_constant():
+        # coprime to den up to a constant, which den's unit takes along
+        cd, dprim = den.primitive()
+        return num.scale(dom.div(dom.one, cd)), dprim
     g = poly_gcd(num, den)
-    if not g.is_constant() or g.constant_value() != num.dom.one:
+    if not g.is_constant() or g.constant_value() != dom.one:
         num = _exact_quot(num, g)
         den = _exact_quot(den, g)
     cd, dprim = den.primitive()
-    if cd != num.dom.one:
-        num = num.scale(num.dom.div(num.dom.one, cd))
+    if cd != dom.one:
+        num = num.scale(dom.div(dom.one, cd))
     return num, dprim
 
 
@@ -1149,6 +1184,8 @@ class RationalFunction(FieldOps):
         o = self._wrap(other)
         if o is None:
             return NotImplemented
+        if self.den == o.den:
+            return RationalFunction(self.num + o.num, self.den)
         return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
@@ -1195,7 +1232,9 @@ class RationalFunction(FieldOps):
         o = self._wrap(other)
         if o is None:
             return NotImplemented
-        return self.num * o.den == o.num * self.den
+        # normal forms are unique, so equal quotients have equal parts
+        self.num._check_compatible(o.num)
+        return self.num == o.num and self.den == o.den
 
     def subs(self, mapping: dict) -> "RationalFunction":
         return RationalFunction(self.num.subs(mapping), self.den.subs(mapping))
@@ -1262,9 +1301,20 @@ def squarefree_decomposition(p: MultiPoly, name: str):
 
 
 def poly_sqrt(p: MultiPoly, name: str):
-    """Exact square root of a univariate-in-name polynomial, or None."""
+    """Exact square root of p, or None.
+
+    p is read as univariate in name over the polynomials in the other
+    variables.  A content in name that is not constant is rooted
+    recursively, in the next variable it uses, and p is a square exactly
+    when that content and the quotient by it both are; Yun's decomposition
+    in name alone would lose the content."""
     if not p:
         return p
+    cont, prim = _primitive_in(p, name)
+    if not cont.is_constant():
+        rc = poly_sqrt(cont, next(v for v in cont.vars if cont.uses(v)))
+        rp = None if rc is None else poly_sqrt(prim, name)
+        return None if rp is None else rc * rp
     unit, parts = squarefree_decomposition(p, name)
     root_unit = p.dom.sqrt(unit)
     if root_unit is None:

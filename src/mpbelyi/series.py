@@ -165,7 +165,14 @@ class LaurentSeries(FieldOps):
 
     def sqrt(self) -> "LaurentSeries":
         """Exact square root: valuation must be even and the leading
-        coefficient a square in the coefficient field."""
+        coefficient a square in the coefficient field.
+
+        With self = lead * t^v * (1 + u), the root is root(lead) * t^(v/2)
+        * s where s = 1 + s_1 t + ... solves s^2 = 1 + u term by term:
+        s_n = (u_n - s_(n/2)^2)/2 - sum of s_i s_(n-i) over 0 < i < n/2,
+        the square present only for even n.  Each unordered pair of the
+        convolution is multiplied once, so the window of n terms costs
+        about n^2/4 products."""
         v = self.valuation()
         if v is None:
             raise ZeroDivisionError("square root of a series that vanishes to its truncation")
@@ -182,11 +189,17 @@ class LaurentSeries(FieldOps):
         half = self.dom.div(self.dom.one, self.dom.coerce(2))
         for n in range(1, rel):
             acc = u.get(n, self.dom.zero)
-            for i in range(1, n):
+            mid = s.get(n // 2) if n % 2 == 0 else None
+            if mid is not None:
+                acc = acc - mid * mid
+            cn = acc * half
+            pairs = None
+            for i in range(1, (n + 1) // 2):
                 si, sj = s.get(i), s.get(n - i)
                 if si is not None and sj is not None:
-                    acc = acc - si * sj
-            cn = acc * half
+                    pairs = si * sj if pairs is None else pairs + si * sj
+            if pairs is not None:
+                cn = cn - pairs
             if not self.dom.is_zero(cn):
                 s[n] = cn
         out = {e + v // 2: c * root for e, c in s.items()}

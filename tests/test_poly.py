@@ -624,6 +624,37 @@ def test_ratfunc_sqrt():
     assert s2 is not None and s2 * s2 == const
 
 
+def test_ratfunc_sqrt_roots_the_content_in_the_other_variable():
+    v = ("a", "c")
+
+    def rf(text):
+        return RationalFunction(parse_poly(text, v))
+
+    for square, root in (("a^2*c^2", "a*c"), ("c^2*(a+1)^2", "c*(a+1)")):
+        assert ratfunc_sqrt(rf(square)) in (rf(root), -rf(root))
+    assert ratfunc_sqrt(rf("a^2*c")) is None
+    # a numerator that does not use a, the first variable of the quotient
+    root = rf("c") / rf("a")
+    assert ratfunc_sqrt(root * root) in (root, -root)
+
+
+ac_terms = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(ac_terms)
+def test_ratfunc_sqrt_over_q_a_c(terms):
+    v = ("a", "c")
+    p = RationalFunction(MultiPoly(QQ, v, terms))
+    assert ratfunc_sqrt(p * p) in (p, -p)
+    assert ratfunc_sqrt(p * p * RationalFunction(MultiPoly.var(QQ, v, "a"))) is None
+
+
 # -- parser ------------------------------------------------------------------------
 
 
