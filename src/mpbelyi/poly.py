@@ -28,11 +28,10 @@ primitive-integer form (integer coefficients with gcd 1 and a positive
 leading coefficient) that the elimination goldens are stored in.  That is
 the form of gcds, of ``primitive`` parts and of the denominator of a
 ``RationalFunction``, so equal rational functions have identical num and
-den, and ``==`` compares those parts.  A constant denominator is a unit, so
-normalising num/k runs no gcd: it is num*(1/k) over one.  Nor does a
-constant numerator, which only moves the denominator's unit.  Over
-Frac(Q[a,c]) every coefficient of the ansatz curve's frames takes the
-first of these paths.
+den, and ``==`` compares those parts.  A constant is coprime to any
+polynomial, so normalising runs no gcd when num or den is constant: num/k
+is num*(1/k) over one.  Over Frac(Q[a,c]) every coefficient of the ansatz
+curve's frames has a constant denominator.
 
 A univariate gcd over Q(sqrt(d)) (``euclid`` set) runs monic Euclid, which
 keeps every remainder monic and so bounds coefficient growth; everything
@@ -1123,20 +1122,12 @@ def _rf_normalize(num: MultiPoly, den: MultiPoly):
     dom = num.dom
     if not num:
         return num, MultiPoly.const(dom, num.vars, dom.one)
-    if den.is_constant():
-        # a unit: num/den over one, with no gcd
-        cd = den.constant_value()
-        if cd == dom.one:
-            return num, den
-        return num.scale(dom.div(dom.one, cd)), MultiPoly.const(dom, num.vars, dom.one)
-    if num.is_constant():
-        # coprime to den up to a constant, which den's unit takes along
-        cd, dprim = den.primitive()
-        return num.scale(dom.div(dom.one, cd)), dprim
-    g = poly_gcd(num, den)
-    if not g.is_constant() or g.constant_value() != dom.one:
-        num = _exact_quot(num, g)
-        den = _exact_quot(den, g)
+    if not num.is_constant() and not den.is_constant():
+        # a constant on either side is coprime to the other: no gcd
+        g = poly_gcd(num, den)
+        if not g.is_constant() or g.constant_value() != dom.one:
+            num = _exact_quot(num, g)
+            den = _exact_quot(den, g)
     cd, dprim = den.primitive()
     if cd != dom.one:
         num = num.scale(dom.div(dom.one, cd))
@@ -1328,7 +1319,12 @@ def poly_sqrt(p: MultiPoly, name: str):
 
 
 def ratfunc_sqrt(rf: RationalFunction):
-    """Exact square root of a rational function in one variable, or None."""
+    """Exact square root of a rational function, or None.
+
+    num and den are rooted as polynomials in the first variable either of
+    them uses; ``poly_sqrt`` roots their content in the other variables
+    recursively, so multivariate input such as a^2*c^2 or c^2/a^2 over
+    Frac(Q[a,c]) is handled."""
     if not rf:
         return rf
     name = None
