@@ -14,9 +14,10 @@ place's own data, and builds every frame by one recipe.  x(t) is given by
 its exact terms (x0 + t, x0 + t^2, 1/t or 1/t^2), dx/dt is their term-wise
 derivative, and y(t) is the square root of f(x(t)) that the place selects.
 
-Points whose y-coordinate lives outside the coefficient field are handled
-by a lightweight on-demand quadratic extension carrying y as a formal
-square root; computed orders and residues are exact there too.
+Points whose y-coordinate lives outside the coefficient field get their
+frames over the quadratic extension ``poly.BranchExtDomain`` of that field,
+with y as its generator w (elements ``scalars.BranchExt``); computed orders
+and residues are exact there too.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 from fractions import Fraction
 
 from .poly import (
-    Field,
+    BranchExtDomain,
     FractionFieldDomain,
     MultiPoly,
     RationalFunction,
@@ -34,161 +35,10 @@ from .poly import (
     poly_gcd,
     squarefree_decomposition,
 )
-from .scalars import FieldOps
+from .scalars import BranchExt, FieldOps
 from .series import LaurentSeries, MAX_TRUNCATION, SeriesPrecisionError
 
 _PREC_LADDER = (10, 18, 32, MAX_TRUNCATION)
-
-
-# --------------------------------------------------------------------------
-# formal quadratic extension for branch data
-
-
-class BranchExt(FieldOps):
-    """a + b*w with w^2 equal to a fixed non-square field element."""
-
-    __slots__ = ("a", "b", "ext")
-
-    def __init__(self, a, b, ext: "BranchExtDomain"):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "ext", ext)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BranchExt is immutable")
-
-    def _wrap(self, other):
-        try:
-            return self.ext.coerce(other)
-        except TypeError:
-            return None
-
-    def __add__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return BranchExt(self.a + o.a, self.b + o.b, self.ext)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BranchExt(-self.a, -self.b, self.ext)
-
-    def __mul__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        r = self.ext.radicand
-        return BranchExt(
-            self.a * o.a + r * (self.b * o.b),
-            self.a * o.b + self.b * o.a,
-            self.ext,
-        )
-
-    __rmul__ = __mul__
-
-    def conj(self):
-        return BranchExt(self.a, -self.b, self.ext)
-
-    def norm(self):
-        return self.a * self.a - self.ext.radicand * (self.b * self.b)
-
-    def inverse(self):
-        n = self.norm()
-        base = self.ext.base
-        if base.is_zero(n):
-            raise ZeroDivisionError("inverting zero in a branch extension")
-        inv = base.div(base.one, n)
-        return BranchExt(self.a * inv, -self.b * inv, self.ext)
-
-    def __bool__(self):
-        base = self.ext.base
-        return not (base.is_zero(self.a) and base.is_zero(self.b))
-
-    def __eq__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        # equal to its base element when b is zero, so hash like it
-        if self.ext.base.is_zero(self.b):
-            return hash(self.a)
-        return hash((self.a, self.b))
-
-    def __str__(self):
-        base = self.ext.base
-        if base.is_zero(self.b):
-            return base.render(self.a)
-        bs = base.render(self.b)
-        body = "w" if bs == "1" else ("-w" if bs == "-1" else "%s*w" % bs)
-        if base.is_zero(self.a):
-            return body
-        sign = "" if body.startswith("-") else "+"
-        return "%s%s%s" % (base.render(self.a), sign, body)
-
-    def __repr__(self):
-        return "BranchExt(%s | w^2=%s)" % (self, self.ext.base.render(self.ext.radicand))
-
-
-class BranchExtDomain(Field):
-    """Domain tag for base_field(w), w^2 = radicand (a non-square)."""
-
-    def __init__(self, base, radicand):
-        self.base = base
-        self.radicand = radicand
-        self.name = "%s(w)" % base.name
-        self.zero = BranchExt(base.zero, base.zero, self)
-        self.one = BranchExt(base.one, base.zero, self)
-
-    def w(self):
-        return BranchExt(self.base.zero, self.base.one, self)
-
-    def coerce(self, x):
-        if isinstance(x, BranchExt):
-            if x.ext is self or x.ext == self:
-                return x
-            raise TypeError("element of a different branch extension")
-        return BranchExt(self.base.coerce(x), self.base.zero, self)
-
-    def div(self, x, y):
-        return self.coerce(x) / self.coerce(y)
-
-    def sqrt(self, x):
-        """A square root of x in base(w), or None.  (u + v*w)^2 = x splits
-        into u^2 + r*v^2 = a and 2*u*v = b, so the norm a^2 - r*b^2 is the
-        square of u^2 - r*v^2 and u^2 is (a +- sqrt(norm))/2."""
-        base = self.base
-        x = self.coerce(x)
-        if base.is_zero(x.b):
-            r = base.sqrt(x.a)
-            if r is not None:
-                return BranchExt(r, base.zero, self)
-            r = base.sqrt(base.div(x.a, self.radicand))
-            return None if r is None else BranchExt(base.zero, r, self)
-        e = base.sqrt(x.norm())
-        if e is None:
-            return None
-        for s in (e, -e):
-            u = base.sqrt(base.div(x.a + s, base.coerce(2)))
-            if u is not None and not base.is_zero(u):
-                return BranchExt(u, base.div(x.b, u * 2), self)
-        return None
-
-    def render(self, x) -> str:
-        s = str(x)
-        return "(%s)" % s if ("+" in s[1:] or "-" in s[1:]) else s
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BranchExtDomain)
-            and other.base == self.base
-            and other.radicand == self.radicand
-        )
-
-    def __hash__(self):
-        return hash(("BranchExtDomain", repr(self.base)))
 
 
 # --------------------------------------------------------------------------

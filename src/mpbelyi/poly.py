@@ -2,10 +2,11 @@
 
 Polynomials are dicts mapping exponent tuples to nonzero coefficients,
 ordered graded-lex for rendering and division.  Coefficient domains are
-instances of ``Field``: QQ (Fraction), QuadDomain(d) (elements of
-Q(sqrt(d))), FractionFieldDomain (coefficients that are themselves rational
-functions, used for series with symbolic parameters) and, in ``curve``,
-the branch extensions BranchExtDomain.  The one ring is ZZ (Python ints),
+instances of ``Field``: QQ (Fraction), FractionFieldDomain (coefficients
+that are themselves rational functions, used for series with symbolic
+parameters) and the quadratic extensions BranchExtDomain (base(w), elements
+``scalars.BranchExt``), of which QuadDomain(d), Q(sqrt(d)) with elements
+``scalars.QuadExt``, is the one over QQ.  The one ring is ZZ (Python ints),
 which products over QQ and the elimination layer run on.
 
 The elimination-theory layer (gcd, resultants, fraction-free determinants,
@@ -54,7 +55,7 @@ import heapq
 import math
 from fractions import Fraction
 
-from .scalars import FieldOps, QuadExt, RingOps, quadext_sqrt, rational_sqrt_exact
+from .scalars import BranchExt, FieldOps, QuadExt, RingOps, quadext_sqrt, rational_sqrt_exact
 
 
 # --------------------------------------------------------------------------
@@ -117,8 +118,8 @@ class RationalDomain(Field):
             return x
         if isinstance(x, int):
             return Fraction(x)
-        if isinstance(x, QuadExt) and x.surd == 0:
-            return x.rat
+        if isinstance(x, BranchExt) and isinstance(x.ext.base, RationalDomain) and not x.b:
+            return x.a
         raise TypeError("cannot coerce %r into QQ" % (x,))
 
     def content_gcd(self, x, y):
@@ -144,40 +145,77 @@ class RationalDomain(Field):
         return str(x)
 
 
-class QuadDomain(Field):
-    # exact arithmetic is cheap here, so univariate gcds run monic Euclid
-    euclid = True
+class BranchExtDomain(Field):
+    """base(w), w^2 = radicand (a non-square of base), with elements of
+    class ``element_class``."""
 
-    def __init__(self, d: int):
-        self.d = d
-        self.name = "Q(sqrt(%d))" % d
-        self.zero = QuadExt(0, 0, d)
-        self.one = QuadExt(1, 0, d)
+    element_class = BranchExt
+
+    def __init__(self, base, radicand):
+        self.base = base
+        self.radicand = radicand
+        self.name = "%s(w)" % base.name
+        self.zero = self.element_class._trusted(base.zero, base.zero, self)
+        self.one = self.element_class._trusted(base.one, base.zero, self)
+
+    def w(self):
+        return self.element_class._trusted(self.base.zero, self.base.one, self)
 
     def coerce(self, x):
-        if isinstance(x, QuadExt):
-            if x.d != self.d:
-                if x.surd == 0:
-                    return QuadExt(x.rat, 0, self.d)
-                raise TypeError("cannot move sqrt(%d) into %s" % (x.d, self.name))
+        if isinstance(x, BranchExt) and (x.ext is self or x.ext == self):
             return x
-        if isinstance(x, (int, Fraction)):
-            return QuadExt(x, 0, self.d)
-        raise TypeError("cannot coerce %r into %s" % (x, self.name))
+        try:
+            a = self.base.coerce(x)
+        except TypeError:
+            raise TypeError("cannot coerce %r into %s" % (x, self.name)) from None
+        return self.element_class._trusted(a, self.base.zero, self)
+
+    def div(self, x, y):
+        return self.coerce(x) / self.coerce(y)
 
     def sqrt(self, x):
-        return quadext_sqrt(x)
+        return quadext_sqrt(self.coerce(x))
 
     def render(self, x) -> str:
-        if x.surd == 0 or x.rat == 0:
-            return str(x)
-        return "(%s)" % x
+        s = str(x)
+        return "(%s)" % s if ("+" in s[1:] or "-" in s[1:]) else s
 
     def __eq__(self, other):
-        return isinstance(other, QuadDomain) and other.d == self.d
+        return (
+            type(other) is type(self)
+            and other.base == self.base
+            and other.radicand == self.radicand
+        )
 
     def __hash__(self):
-        return hash(("QuadDomain", self.d))
+        return hash(("BranchExtDomain", repr(self.base)))
+
+
+class QuadDomain(BranchExtDomain):
+    """Q(sqrt(d)): the branch extension of QQ with radicand d, elements
+    ``QuadExt``.  There is one instance per d, so the elements of one field
+    share their ``ext``."""
+
+    # exact arithmetic is cheap here, so univariate gcds run monic Euclid
+    euclid = True
+    element_class = QuadExt
+    _by_d: dict = {}
+
+    def __new__(cls, d: int):
+        self = cls._by_d.get(d)
+        if self is None:
+            self = cls._by_d[d] = super().__new__(cls)
+            self.d = d
+            BranchExtDomain.__init__(self, QQ, Fraction(d))
+            self.name = "Q(sqrt(%d))" % d
+        return self
+
+    def __init__(self, d: int):
+        pass  # set up once per d, in __new__
+
+    def sqrt(self, x):
+        r = super().sqrt(x)
+        return -r if r is not None and r.sign() < 0 else r
 
 
 class FractionFieldDomain(Field):
@@ -749,6 +787,7 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     input's coefficients: 1 on every field but QQ, and the content over QQ
     and ZZ, so gcd(6, -4) = 2 and gcd(0, 6) = gcd(6, 6) = 6.
 
+    When either input is one term the gcd is read off the exponents.
     Univariate input over a domain with ``euclid`` set (Q(sqrt(d))) runs
     monic Euclid.  Otherwise univariate steps use the subresultant
     polynomial remainder sequence on primitive parts, and multivariate
@@ -769,6 +808,9 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         for c in other.terms.values():
             g = p.dom.content_gcd(g, c)
         return MultiPoly.const(p.dom, p.vars, g)
+    g = _monomial_gcd(p, q)
+    if g is not None:
+        return g
     name = None
     for v in p.vars:
         if p.uses(v) or q.uses(v):
@@ -788,6 +830,18 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     ca, pa = _primitive_in(p, name)
     cb, pb = _primitive_in(q, name)
     return (poly_gcd(ca, cb) * _gcd_prs(pa, pb, name)).primitive_part()
+
+
+def _monomial_gcd(p: MultiPoly, q: MultiPoly):
+    """gcd of nonconstant p and q when either is one term, else None.
+
+    A divisor of a monomial is a monomial, so the gcd is the smallest power
+    of each variable over the terms of both, with coefficient one: the
+    gcd of nonconstant inputs is a ``primitive_part`` on every domain."""
+    if len(p.terms) > 1 and len(q.terms) > 1:
+        return None
+    exps = tuple(map(min, *p.terms, *q.terms))
+    return MultiPoly(p.dom, p.vars, {exps: p.dom.one})
 
 
 def _gcd_monic_euclid(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:

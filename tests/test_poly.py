@@ -7,11 +7,13 @@ algorithms must agree with them.
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mpbelyi import poly as poly_module
 from mpbelyi.parse import ParseError, parse_poly, parse_scalar
 from mpbelyi.poly import (
     LinearSystem,
@@ -653,6 +655,25 @@ def test_ratfunc_sqrt_over_q_a_c(terms):
     p = RationalFunction(MultiPoly(QQ, v, terms))
     assert ratfunc_sqrt(p * p) in (p, -p)
     assert ratfunc_sqrt(p * p * RationalFunction(MultiPoly.var(QQ, v, "a"))) is None
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(ac_terms, st.tuples(st.integers(0, 3), st.integers(0, 3)), nonzero_frac)
+def test_gcd_with_one_term_is_the_prs_gcd(terms, exps, k):
+    # the one-term shortcut against the subresultant PRS it replaces
+    v = ("a", "c")
+    p, m = MultiPoly(QQ, v, terms), MultiPoly(QQ, v, {exps: k})
+    with mock.patch.object(poly_module, "_monomial_gcd", lambda p, q: None):
+        prs = poly_gcd(p, m), poly_gcd(m, p)
+    assert (poly_gcd(p, m).terms, poly_gcd(m, p).terms) == (prs[0].terms, prs[1].terms)
+
+
+def test_gcd_with_a_power_of_a_reads_off_the_exponents():
+    v = ("a", "c")
+    p = parse_poly("a^11*c+3*a^7*c^2-a^2*c+5*a^2*c^4", v)
+    assert poly_gcd(p, parse_poly("4*a^11", v)) == parse_poly("a^2", v)
+    assert poly_gcd(parse_poly("a^3*c^2", v), p) == parse_poly("a^2*c", v)
+    assert poly_gcd(parse_poly("a*c", v), parse_poly("c+1", v)) == 1
 
 
 # -- parser ------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from mpbelyi.poly import BranchExtDomain, QQ, QuadDomain
 from mpbelyi.scalars import (
     QuadExt,
     integer_sqrt_exact,
@@ -119,6 +121,12 @@ def test_mixed_surds_rejected():
         QuadExt(1, 1, 5) * QuadExt(1, 1, 105)
     with pytest.raises(ValueError):
         QuadExt(1, 1, 5) + QuadExt(0, 2, 3)
+    # the same rule for every extension type: Q(w), w^2 = 7, and Q(w), w^2 = 3
+    w7, w3 = BranchExtDomain(QQ, Fraction(7)).w(), BranchExtDomain(QQ, Fraction(3)).w()
+    for op in (operator.add, operator.mul, operator.truediv):
+        for x, y in ((w7, w3), (w3, w7), (1 + w7, w3)):
+            with pytest.raises(ValueError):
+                op(x, y)
 
 
 def test_non_squarefree_d_rejected():
@@ -190,7 +198,9 @@ def test_quadext_sqrt_round_trip_randomized():
             root = quadext_sqrt(sq)
             assert root is not None
             assert root * root == sq
-            assert root.sign() >= 0
+            # quadext_sqrt gives either root; QuadDomain.sqrt the positive one
+            positive = QuadDomain(d).sqrt(sq)
+            assert positive in (root, -root) and positive.sign() >= 0
     assert quadext_sqrt(QuadExt(29, 12, 5)) == QuadExt(3, 2, 5)
     # negatives under the real embedding have no real square root
     assert quadext_sqrt(QuadExt(-1, 0, 105)) is None
