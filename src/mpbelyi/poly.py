@@ -47,6 +47,20 @@ It keeps the remainder in place, as a dict plus a heap of its monomials in
 graded-lex order, so a division costs about |quotient|*|divisor|
 coefficient operations plus the heap work instead of one full remainder
 rebuild per quotient term.
+
+Both kernels, the product ``_mul_terms`` and ``exact_divide``, work on
+packed monomials (M. Monagan and R. Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007): each
+exponent tuple is packed once per call into one int, a bit field per
+variable with the first variable highest, so a monomial product is one int
+addition and the inner loops build no tuples.  A product's fields are wide
+enough for the largest exponent sum, so no field carries into the next.
+The division key puts the total degree in a field above the exponents
+(for more than one variable), so int order is graded-lex order, and gives
+every field one guard bit above its value: lead(q) divides a monomial
+exactly when subtracting its key from the monomial's, with every guard bit
+set, leaves every guard bit set.  ``MultiPoly.terms`` keeps its tuple keys;
+each result monomial is unpacked once.
 """
 
 from __future__ import annotations
@@ -54,6 +68,8 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
+from itertools import repeat
+from operator import add
 
 from .scalars import BranchExt, FieldOps, QuadExt, RingOps, quadext_sqrt, rational_sqrt_exact
 
@@ -316,27 +332,61 @@ def _grlex_key(exps):
     return (sum(exps), exps)
 
 
-def _heap_key(exps):
-    # graded-lex order reversed, so heapq's min-heap pops the largest first
-    return (-sum(exps), tuple(-x for x in exps))
+def _pack(fields, width: int) -> int:
+    """The fields as one int, ``width`` bits each, the first one highest."""
+    key = 0
+    for x in fields:
+        key = (key << width) | x
+    return key
+
+
+def _unpack_terms(terms: dict, width: int, n: int) -> dict:
+    """``terms`` with each packed key read back as the tuple of its n lowest
+    ``width``-bit fields, highest first; a column of fields at a time."""
+    mask = (1 << width) - 1
+    cols = [[(k >> s) & mask for k in terms] for s in range(width * (n - 1), -1, -width)]
+    return dict(zip(zip(*cols) if n else repeat(()), terms.values()))
+
+
+def _grlex_pack(exps, width: int) -> int:
+    """The exponent tuple packed so that int order is graded-lex order:
+    the total degree in the highest field, then the exponents; a univariate
+    exponent is its own degree and stands alone."""
+    return _pack((sum(exps),) + exps if len(exps) > 1 else exps, width)
 
 
 def _mul_terms(p: dict, q: dict) -> dict:
     """The schoolbook product of two term dicts; sums that cancel stay in
-    as zeros for the ``MultiPoly`` constructor to drop."""
+    as zeros for the ``MultiPoly`` constructor to drop.
+
+    A one-term factor scales and shifts the other directly.  Otherwise each
+    exponent tuple is packed once into an int (Monagan and Pearce 2007), a
+    field of W = bit_length(max_p + max_q) bits per variable, first
+    variable highest, with max_p and max_q the largest exponents of the two
+    factors: no field of a sum exceeds max_p + max_q, so no sum carries
+    into the next field and a monomial product is one int addition.  A
+    univariate key is the exponent itself.  Each output monomial is
+    unpacked once.
+    """
     if len(p) > len(q):
         p, q = q, p
+    if len(p) == 1:
+        ((ea, ca),) = p.items()
+        return {tuple(map(add, ea, eb)): ca * cb for eb, cb in q.items()}
+    n = len(next(iter(p)))
+    w = (max(map(max, p)) + max(map(max, q))).bit_length()
+    pk = [(_pack(e, w), c) for e, c in p.items()]
+    qk = [(_pack(e, w), c) for e, c in q.items()]
     out: dict = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            prod = ca * cb
-            s = out.get(e)
+    for ka, ca in pk:
+        for kb, cb in qk:
+            k = ka + kb
+            s = out.get(k)
             if s is None:
-                out[e] = prod
+                out[k] = ca * cb
             else:
-                out[e] = s + prod
-    return out
+                out[k] = s + ca * cb
+    return _unpack_terms(out, w, n)
 
 
 class MultiPoly(RingOps):
@@ -670,6 +720,15 @@ def exact_divide(p: MultiPoly, q: MultiPoly):
     coefficient operations plus the heap work, where rebuilding the
     remainder would cost |quotient|*|remainder| term copies.
 
+    Monomials are packed ints, as in Monagan and Pearce: the total degree
+    in the highest field, then e0 ... e(n-1) (a univariate key is just the
+    exponent), so int order is graded-lex order and the heap holds negated
+    keys.  No remainder monomial exceeds deg p in total degree, so each
+    field holds bit_length(deg p) value bits under one guard bit.  lead(q)
+    divides the remainder's leading monomial exactly when
+    ``(key | guard) - lead_key`` keeps every guard bit: a field of lead(q)
+    larger than the remainder's borrows its own guard bit and no other.
+
     The answer is None as soon as lead(q) fails to divide the leading
     monomial of the remainder, or its coefficient (``dom.quo``, which over
     a field always divides and over ZZ finds a remainder).
@@ -683,37 +742,49 @@ def exact_divide(p: MultiPoly, q: MultiPoly):
         return p
     dom = p.dom
     qe, qc = q.leading()
+    top = p.total_degree()
+    if sum(qe) > top:
+        return None  # lead(q) divides no monomial of p
+    # every remainder monomial is below one of p's in graded-lex order, so
+    # no exponent or degree exceeds top
+    n = len(p.vars)
+    width = top.bit_length() + 1
+    nfields = n + 1 if n > 1 else n
+    guard = _pack((1 << (width - 1),) * nfields, width)
+    qk = _grlex_pack(qe, width)
     # the tail of q negated once, so that the loop below only adds
-    tail = [(e, -k) for e, k in q.terms.items() if e != qe]
-    rem = dict(p.terms)
-    heap = [(_heap_key(e), e) for e in rem]
+    tail = [(_grlex_pack(e, width), -k) for e, k in q.terms.items() if e != qe]
+    rem = {_grlex_pack(e, width): c for e, c in p.terms.items()}
+    heap = [-k for k in rem]  # heapq's min-heap pops the largest key first
     heapq.heapify(heap)
     quot_terms: dict = {}
     while heap:
-        re = heapq.heappop(heap)[1]
-        rc = rem.pop(re, None)
+        rk = -heapq.heappop(heap)
+        rc = rem.pop(rk, None)
         if rc is None:
             continue  # cancelled, or a duplicate entry
-        diff = tuple(a - b for a, b in zip(re, qe))
-        if any(d < 0 for d in diff):
+        # a field of lead(q) above the remainder's borrows its guard bit
+        diff = (rk | guard) - qk
+        if diff & guard != guard:
             return None
         c = dom.quo(rc, qc)
         if c is None:
             return None
+        diff ^= guard
         quot_terms[diff] = c
         for e, k in tail:
-            m = tuple(a + b for a, b in zip(diff, e))
+            m = diff + e
             s = rem.get(m)
             if s is None:
                 rem[m] = c * k
-                heapq.heappush(heap, (_heap_key(m), m))
+                heapq.heappush(heap, -m)
             else:
                 s = s + c * k
                 if dom.is_zero(s):
                     del rem[m]
                 else:
                     rem[m] = s
-    return MultiPoly(dom, p.vars, quot_terms)
+    return MultiPoly(dom, p.vars, _unpack_terms(quot_terms, width, n))
 
 
 def divide_out(p: MultiPoly, q: MultiPoly):

@@ -1,8 +1,10 @@
 """The sparse division kernel: exact_divide and divide_out.
 
-Property tests (hypothesis) over bivariate QQ and ZZ, univariate
-Q(sqrt(105)) and univariate Frac(Q[a]), and a cross-check against the plain
-division loop that rebuilds the whole remainder for every quotient term.
+Property tests (hypothesis) over bivariate QQ and ZZ, trivariate ZZ,
+bivariate ZZ with exponents at the packed fields' width edges (2^k - 1 and
+2^k, up to 400), univariate Q(sqrt(105)) and univariate Frac(Q[a]), and a
+cross-check against the plain division loop that rebuilds the whole
+remainder for every quotient term.
 """
 
 import pytest
@@ -23,7 +25,8 @@ from mpbelyi.scalars import QuadExt
 
 K = QuadDomain(105)
 F = FractionFieldDomain(QQ, ("a",))
-PROPS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+# 60 examples over the six rings of DOMAINS: as many per ring as 40 over four
+PROPS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 small_q = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 quad = st.builds(lambda r, s: QuadExt(r, s, 105), small_q, small_q)
@@ -41,6 +44,14 @@ qq_poly = st.dictionaries(
 zz_poly = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-9, 9), min_size=1, max_size=5
 ).map(lambda t: MultiPoly(ZZ, ("x", "y"), t))
+zz3_poly = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3), st.integers(-9, 9), min_size=1, max_size=5
+).map(lambda t: MultiPoly(ZZ, ("x", "y", "z"), t))
+EDGES = sorted({2**k - 1 for k in range(1, 9)} | {2**k for k in range(1, 9)} | {200, 399, 400})
+high_exponent = st.one_of(st.integers(0, 2), st.sampled_from(EDGES))
+zz_high_poly = st.dictionaries(
+    st.tuples(high_exponent, high_exponent), st.integers(-9, 9), min_size=1, max_size=4
+).map(lambda t: MultiPoly(ZZ, ("x", "y"), t))
 
 a_poly = st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(
     lambda cs: MultiPoly.from_univariate(QQ, "a", cs)
@@ -50,6 +61,8 @@ frac_a = st.builds(RationalFunction, a_poly, a_poly.filter(bool))
 DOMAINS = {
     "QQ[x,y]": qq_poly,
     "ZZ[x,y]": zz_poly,
+    "ZZ[x,y,z]": zz3_poly,
+    "ZZ[x,y] high exponents": zz_high_poly,
     "Q(sqrt(105))[x]": upoly(K, quad),
     "Frac(Q[a])[x]": upoly(F, frac_a),
 }
@@ -133,6 +146,20 @@ def test_zz_division_rejects_a_remainder():
     assert exact_divide(3 * x, 2 * x) is None
     assert exact_divide(6 * x - 4, 2) == 3 * x - 2
     assert exact_divide(-6 * x**2 + 3 * x, -3 * x) == 2 * x - 1
+    # no variables: the one monomial is the empty tuple
+    six = MultiPoly.const(ZZ, (), 6)
+    assert exact_divide(six, 3) == MultiPoly.const(ZZ, (), 2)
+    assert exact_divide(six, 4) is None
+
+
+def test_a_lead_divisible_in_degree_but_not_per_variable_is_not_divisible():
+    # each quotient exponent is lead(r) - lead(q) per variable, and here one
+    # of them is negative although the total degree allows the division
+    x, y, z = (MultiPoly.var(ZZ, ("x", "y", "z"), v) for v in "xyz")
+    assert exact_divide(x**3, x * y) is None
+    assert exact_divide(x * y**2, y**3) is None
+    assert exact_divide(z**5 + x, x * z) is None
+    assert exact_divide(x**3 * y, x * y) == x**2
 
 
 @PROPS
