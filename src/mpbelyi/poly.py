@@ -37,6 +37,9 @@ curve's frames has a constant denominator.
 A univariate gcd over Q(sqrt(d)) (``euclid`` set) runs monic Euclid, which
 keeps every remainder monic and so bounds coefficient growth; everything
 else (QQ, multivariate input, the other fields) runs the subresultant PRS.
+A coefficient of Q(sqrt(d)) is ``scalars.QuadExt``, (n + s*sqrt(d))/q on
+integers, so each coefficient operation of a remainder step is a few
+integer products and one gcd, with no ``Fraction`` arithmetic.
 Over Frac(Q[a,c]) every monic remainder costs one multivariate gcd per
 coefficient: on gcd(f, f') of the ansatz quartic monic Euclid took about
 3.5 s against 0.03 s for the PRS (Python 3.11 on a 2-vCPU Xeon).
@@ -212,7 +215,8 @@ class QuadDomain(BranchExtDomain):
     ``QuadExt``.  There is one instance per d, so the elements of one field
     share their ``ext``."""
 
-    # exact arithmetic is cheap here, so univariate gcds run monic Euclid
+    # a coefficient operation is a few integer products and one gcd (QuadExt),
+    # so making every remainder monic is cheap: univariate gcds run monic Euclid
     euclid = True
     element_class = QuadExt
     _by_d: dict = {}

@@ -6,9 +6,15 @@ stdlib ``fractions.Fraction`` (already gcd-reduced with positive
 denominator).  ``BranchExt`` is the one quadratic-extension element, a + b*w
 over any base field, with w^2 a fixed non-square of that field; its domain
 is ``poly.BranchExtDomain``.  ``QuadExt`` is the ``BranchExt`` over QQ with
-w = sqrt(d) for a square-free d > 1 (production runs use d = 105): it adds
-only its public constructor, the ``rat``/``surd``/``d`` views, the sign
-under the real embedding and its sqrt(d) rendering.  ``quadext_sqrt`` is
+w = sqrt(d) for a square-free d > 1 (production runs use d = 105).  It holds
+(n + s*sqrt(d))/q on integers with q > 0 and gcd(n, s, q) = 1, the standard
+number-field representation (H. Cohen, "A Course in Computational Algebraic
+Number Theory", 1993, sec. 4.2; W. Hart's ANTIC, ``qnf_elem``): the form is
+canonical, so ``==`` and ``hash`` compare integers, and every sum, product
+and inverse costs one integer gcd instead of about ten inside ``Fraction``.
+Its rational parts ``a``/``rat`` and ``b``/``surd`` are read-only Fraction
+views.  The generic ``BranchExt`` arithmetic serves every other base, such
+as a tower over Q(sqrt(d)), whose parts are ``QuadExt``.  ``quadext_sqrt`` is
 the one square root in any extension.  ``to_bigfloat`` is the one
 conversion from exact scalars to ``mpmath`` numbers, at an explicitly
 requested binary precision (default 128 bits).
@@ -106,8 +112,6 @@ class BranchExt(FieldOps):
     """a + b*w with a, b in the base field of ``ext`` (a
     ``poly.BranchExtDomain``) and w^2 = ext.radicand, a non-square there.
 
-    Results of arithmetic have the class of the operand they were computed
-    from, so a subclass such as ``QuadExt`` stays closed under it.
     Elements of one extension mix freely with anything its domain coerces;
     two extensions neither of which holds the other raise ValueError.
     """
@@ -234,37 +238,94 @@ _set_a, _set_b, _set_ext = BranchExt.a.__set__, BranchExt.b.__set__, BranchExt.e
 
 
 class QuadExt(BranchExt):
-    """rat + surd*sqrt(d) with rat, surd rational and d square-free, d > 1:
-    the ``BranchExt`` over QQ whose extension is ``poly.QuadDomain(d)``.
+    """(n + s*sqrt(d))/q with n, s, q ints, q > 0 and gcd(n, s, q) == 1, d
+    square-free and d > 1: the ``BranchExt`` over QQ whose extension is
+    ``poly.QuadDomain(d)``.
 
-    Plain ints and Fractions mix freely (they are lifted to surd part 0).
+    The integer form is canonical, so ``==`` and ``hash`` compare integers
+    and every result costs one ``math.gcd(n, s, q)``; zero is (0, 0, 1).
+    ``a``/``rat`` and ``b``/``surd`` are the rational parts n/q and s/q, as
+    read-only Fractions.  The public constructor takes int or Fraction
+    parts; plain ints and Fractions mix freely (lifted to surd part 0).
     """
 
-    __slots__ = ()
+    __slots__ = ("n", "s", "q")
 
     def __init__(self, rat, surd=0, d: int = 105):
         if not (isinstance(d, int) and d > 1 and _is_squarefree(d)):
             raise ValueError("d must be a square-free integer > 1, got %r" % (d,))
+        for part in (rat, surd):
+            if not isinstance(part, (int, Fraction)):
+                raise TypeError("QuadExt parts must be int or Fraction, got %r" % (part,))
         from .poly import QuadDomain  # poly imports this module
 
-        BranchExt.__init__(self, Fraction(rat), Fraction(surd), QuadDomain(d))
+        _set_parts(self, rat, surd, QuadDomain(d))
 
-    # perfbench/tracing.py counts calls of the methods in a class's own
-    # __dict__, so the counted ones are bound here too
-    __add__ = BranchExt.__add__
-    __radd__ = BranchExt.__radd__
-    __neg__ = BranchExt.__neg__
-    __mul__ = BranchExt.__mul__
-    __rmul__ = BranchExt.__rmul__
-    inverse = BranchExt.inverse
+    @classmethod
+    def _trusted(cls, a, b, ext):
+        """The element a + b*sqrt(d) from rational parts a and b, as the
+        domain's coercions and ``quadext_sqrt`` build it."""
+        x = object.__new__(cls)
+        _set_parts(x, a, b, ext)
+        return x
+
+    # -- ring structure ------------------------------------------------
+
+    def __add__(self, other):
+        o = self._wrap(other)
+        if o is None:
+            return NotImplemented
+        q, oq = self.q, o.q
+        if q == oq:
+            return _reduced(self.n + o.n, self.s + o.s, q, self.ext)
+        return _reduced(self.n * oq + o.n * q, self.s * oq + o.s * q, q * oq, self.ext)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _reduced(-self.n, -self.s, self.q, self.ext)
+
+    def __mul__(self, other):
+        o = self._wrap(other)
+        if o is None:
+            return NotImplemented
+        n, s, on, os = self.n, self.s, o.n, o.s
+        return _reduced(
+            n * on + self.ext.d * s * os, n * os + s * on, self.q * o.q, self.ext
+        )
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        # q/(n + s*sqrt(d)) = q*(n - s*sqrt(d))/(n^2 - d*s^2)
+        n, s, q = self.n, self.s, self.q
+        m = n * n - self.ext.d * s * s
+        if not m:
+            raise ZeroDivisionError("division by zero in %s" % self.ext.name)
+        if m < 0:
+            m, q = -m, -q
+        return _reduced(q * n, -q * s, m, self.ext)
+
+    # -- field-specific ------------------------------------------------
+
+    def conj(self):
+        """Galois conjugate: sqrt(d) -> -sqrt(d)."""
+        return _reduced(self.n, -self.s, self.q, self.ext)
+
+    def norm(self) -> Fraction:
+        """(n^2 - d*s^2)/q^2, the product with the conjugate."""
+        n, s, q = self.n, self.s, self.q
+        return Fraction(n * n - self.ext.d * s * s, q * q)
 
     @property
-    def rat(self) -> Fraction:
-        return self.a
+    def a(self) -> Fraction:
+        return Fraction(self.n, self.q)
 
     @property
-    def surd(self) -> Fraction:
-        return self.b
+    def b(self) -> Fraction:
+        return Fraction(self.s, self.q)
+
+    rat, surd = a, b
 
     @property
     def d(self) -> int:
@@ -272,28 +333,79 @@ class QuadExt(BranchExt):
 
     def sign(self) -> int:
         """Sign under the real embedding sqrt(d) > 0."""
-        rat, surd = self.a, self.b
-        s, t = (rat > 0) - (rat < 0), (surd > 0) - (surd < 0)
-        if s == t or not t:
-            return s
-        if not s:
+        n, s = self.n, self.s
+        u, t = (n > 0) - (n < 0), (s > 0) - (s < 0)
+        if u == t or not t:
+            return u
+        if not u:
             return t
-        # opposite signs: the larger of rat^2 and d*surd^2 (never equal) wins
-        return s if rat * rat > self.ext.radicand * surd * surd else t
+        # opposite signs: the larger of n^2 and d*s^2 (never equal) wins
+        return u if n * n > self.ext.d * s * s else t
+
+    # -- comparisons / hashing ------------------------------------------
+
+    def __bool__(self):
+        return bool(self.n or self.s)
+
+    def __eq__(self, other):
+        # not _wrap: comparing elements of two extensions is no error
+        ext = self.ext
+        if isinstance(other, QuadExt) and (other.ext is ext or other.ext == ext):
+            return self.n == other.n and self.s == other.s and self.q == other.q
+        try:
+            a = ext.base.coerce(other)
+        except TypeError:
+            return NotImplemented
+        return not self.s and self.n == a.numerator and self.q == a.denominator
+
+    def __hash__(self):
+        # equal to its rational part when s is zero, so hash like it
+        if not self.s:
+            return hash(self.n) if self.q == 1 else hash(Fraction(self.n, self.q))
+        return hash((self.n, self.s, self.q))
 
     def __str__(self):
-        if self.b == 0:
-            return str(self.a)
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
         tail = "sqrt(%d)" % self.d
-        if abs(self.b) != 1:
-            tail = "%s*%s" % (str(abs(self.b)), tail)
-        sign = "-" if self.b < 0 else "+"
-        if self.a == 0:
+        if abs(b) != 1:
+            tail = "%s*%s" % (str(abs(b)), tail)
+        sign = "-" if b < 0 else "+"
+        if a == 0:
             return tail if sign == "+" else "-" + tail
-        return "%s%s%s" % (str(self.a), sign, tail)
+        return "%s%s%s" % (str(a), sign, tail)
 
     def __repr__(self):
         return "QuadExt(%r, %r, %d)" % (str(self.a), str(self.b), self.d)
+
+
+# QuadExt keeps BranchExt's a and b slots unused: its a and b are views
+_set_n, _set_s, _set_q = QuadExt.n.__set__, QuadExt.s.__set__, QuadExt.q.__set__
+_new = object.__new__
+
+
+def _reduced(n, s, q, ext):
+    """The QuadExt (n + s*sqrt(d))/q, q > 0: one gcd makes it canonical."""
+    g = math.gcd(n, s, q)
+    if g != 1:
+        n, s, q = n // g, s // g, q // g
+    x = _new(QuadExt)
+    _set_n(x, n)
+    _set_s(x, s)
+    _set_q(x, q)
+    _set_ext(x, ext)
+    return x
+
+
+def _set_parts(x, a, b, ext):
+    # over the lcm of two reduced denominators n, s and q share no factor
+    ad, bd = a.denominator, b.denominator
+    q = ad if ad == bd else math.lcm(ad, bd)
+    _set_n(x, a.numerator * (q // ad))
+    _set_s(x, b.numerator * (q // bd))
+    _set_q(x, q)
+    _set_ext(x, ext)
 
 
 def integer_sqrt_exact(n: int):

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import math
 import operator
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpbelyi.poly import BranchExtDomain, QQ, QuadDomain
 from mpbelyi.scalars import (
+    BranchExt,
     QuadExt,
     integer_sqrt_exact,
     quadext_sqrt,
@@ -161,6 +165,117 @@ def test_rendering_round_shape():
     assert str(QuadExt(0, 1, 105)) == "sqrt(105)"
     assert str(QuadExt(Fraction(5), 0, 105)) == "5"
     assert str(QuadExt(0, -1, 5)) == "-sqrt(5)"
+
+
+# ------------------------------------------- QuadExt against the generic BranchExt
+# QuadExt computes on integers (n + s*sqrt(d))/q; the generic BranchExt over
+# QQ with radicand d computes on two Fractions and is the reference.
+
+PROPS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+FIELDS = (2, 5, 105)
+REF = {d: BranchExtDomain(QQ, Fraction(d)) for d in FIELDS}
+
+rationals = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    st.fractions(max_denominator=10**12).filter(lambda r: abs(r) < 10**15),
+)
+parts = st.tuples(rationals, rationals)
+exponents = st.integers(-3, 4)
+
+
+def ref(x: QuadExt) -> BranchExt:
+    return BranchExt(x.a, x.b, REF[x.d])
+
+
+def same(x, r: BranchExt) -> bool:
+    """x is the QuadExt whose parts are those of the reference r."""
+    return type(x) is QuadExt and x.a == r.a and x.b == r.b
+
+
+def assert_canonical(x: QuadExt):
+    assert all(type(v) is int for v in (x.n, x.s, x.q))
+    assert x.q > 0 and math.gcd(x.n, x.s, x.q) == 1
+    assert x.a == Fraction(x.n, x.q) and x.b == Fraction(x.s, x.q)
+
+
+@pytest.mark.parametrize("d", FIELDS)
+@PROPS
+@given(u=parts, v=parts, k=exponents)
+def test_quadext_matches_generic_branchext(d, u, v, k):
+    x, y = QuadExt(*u, d), QuadExt(*v, d)
+    rx, ry = ref(x), ref(y)
+    results = [
+        (x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry), (-x, -rx),
+        (x.conj(), rx.conj()), (x + u[1], rx + u[1]), (u[0] - y, u[0] - ry),
+        (x * 3, rx * 3), (x - x, rx - rx),
+    ]
+    if x:
+        results += [(x.inverse(), rx.inverse()), (y / x, ry / rx), (1 / x, 1 / rx)]
+    if x or k >= 0:
+        results.append((x**k, rx**k))
+    for got, want in results:
+        assert same(got, want), (str(got), str(want))
+        assert_canonical(got)
+    assert x.norm() == rx.norm() and type(x.norm()) is Fraction
+    assert (x == y) == (rx == ry) and (x != y) == (rx != ry)
+    assert str(x) == str(rx).replace("w", "sqrt(%d)" % d)
+    value = to_bigfloat(rx, 256)
+    assert x.sign() == (value > 0) - (value < 0)
+    for z in (x, x * x):
+        root, want = quadext_sqrt(z), quadext_sqrt(ref(z))
+        assert (root is None) == (want is None)
+        if root is not None:
+            assert same(root, want) and root * root == z
+            assert_canonical(root)
+
+
+@pytest.mark.parametrize("d", FIELDS)
+@PROPS
+@given(u=parts, v=parts)
+def test_quadext_canonical_form_is_its_equality_and_hash(d, u, v):
+    x, y = QuadExt(*u, d), QuadExt(*v, d)
+    assert_canonical(x)
+    # one value computed two ways: the same integers, equal and hashing alike
+    p, q = (x + y) * (x - y), x * x - y * y
+    assert (p.n, p.s, p.q) == (q.n, q.s, q.q) and p == q and hash(p) == hash(q)
+    zero = x - x
+    assert (zero.n, zero.s, zero.q) == (0, 0, 1) and not zero and zero == 0
+    # with a zero surd it is its Fraction, and its int when integral
+    r = QuadExt(u[0], 0, d)
+    assert r == u[0] and u[0] == r and hash(r) == hash(u[0])
+    assert r == QuadExt(u[0], 0, 105) and hash(r) == hash(QuadExt(u[0], 0, 105))
+    k = math.floor(u[0])
+    assert QuadExt(k, 0, d) == k and hash(QuadExt(k, 0, d)) == hash(k)
+    assert {QuadExt(k, 0, d): 1}[k] == 1 and {u[0]: 1}[r] == 1
+    assert (x == u[0]) == (not x.s and x.a == u[0])
+
+
+@pytest.mark.parametrize("d", FIELDS)
+def test_quadext_zero_division_and_mixed_fields(d):
+    x, zero = QuadExt(1, 1, d), QuadExt(0, 0, d)
+    for op in (
+        lambda: x / zero, lambda: x / 0, lambda: 1 / zero, lambda: zero.inverse(),
+        lambda: zero**-1, lambda: x / Fraction(0),
+    ):
+        with pytest.raises(ZeroDivisionError):
+            op()
+    for other in FIELDS:
+        if other == d:
+            continue
+        y = QuadExt(Fraction(1, 3), 2, other)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(ValueError):
+                op(x, y)
+        # a rational element of another field is just a rational
+        assert x * QuadExt(2, 0, other) == QuadExt(2, 2, d)
+
+
+def test_quadext_parts_must_be_int_or_fraction():
+    # QQ rejects floats; so does its quadratic extension's constructor
+    for bad in ((0.1,), (1, 0.5), ("1/2",), (1, mpmath.mpf(2))):
+        with pytest.raises(TypeError):
+            QuadExt(*bad, 105)
+    assert QuadExt(True, Fraction(2, 4), 105) == QuadExt(1, Fraction(1, 2), 105)
 
 
 # ------------------------------------------------------------ square roots
