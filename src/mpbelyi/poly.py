@@ -17,7 +17,9 @@ polynomial, per matrix row), run the subresultant PRS (G. E. Collins 1967;
 W. S. Brown 1971) or Bareiss's elimination (E. H. Bareiss 1968) on ZZ,
 where every exact division is an integer ``//``, and scale the result back
 to QQ once.  A product of two QQ polynomials does the same: it multiplies
-their cleared integer forms and scales each output term back once.  On the
+their cleared integer forms and scales each output term back once, and so
+does a whole sum of products over Frac(Q[a,c]) whose denominators are one
+(``FractionFieldDomain.lincomb``, one series coefficient).  On the
 benchmark's eliminations and series expansions that removes nearly all
 ``Fraction`` arithmetic.
 
@@ -90,6 +92,14 @@ class Field:
     the domain's own elements unchanged) and ``sqrt``, and override the rest
     only where they differ.  ``euclid`` chooses the univariate gcd algorithm:
     monic Euclid when True, the subresultant PRS otherwise.
+
+    ``lincomb(items)`` is the sum of w*x*y over items (w, x, y), with w an
+    int or a ``Fraction`` and x, y elements of the domain; y None stands for
+    one.  No items give ``zero``.  The result is the element the same sum of
+    products gives, in its normal form, so a domain may compute it any way
+    it likes.  The default sums the products of each run of equal weights,
+    then multiplies the run's sum by its weight once (not at all for 1 and
+    -1, which add and subtract).
     """
 
     euclid = False
@@ -119,11 +129,34 @@ class Field:
         inv = self.div(self.one, u)
         return {e: k * inv for e, k in terms.items()}
 
+    def lincomb(self, items):
+        total = run = weight = None
+        for w, x, y in items:
+            p = x if y is None else x * y
+            if run is not None and (w is weight or w == weight):
+                run = run + p
+            else:
+                total = _add_weighted(total, run, weight)
+                run, weight = p, w
+        total = _add_weighted(total, run, weight)
+        return self.zero if total is None else total
+
     def render(self, x) -> str:
         return "(%s)" % x
 
     def __repr__(self):
         return self.name
+
+
+def _add_weighted(total, run, w):
+    """total + w*run, where a None total or run stands for zero."""
+    if run is None:
+        return total
+    if w == -1:
+        return -run if total is None else total - run
+    if w != 1:
+        run = run * w
+    return run if total is None else total + run
 
 
 class RationalDomain(Field):
@@ -207,7 +240,7 @@ class BranchExtDomain(Field):
         )
 
     def __hash__(self):
-        return hash(("BranchExtDomain", repr(self.base)))
+        return hash(("BranchExtDomain", repr(self.base), self.radicand))
 
 
 class QuadDomain(BranchExtDomain):
@@ -248,6 +281,53 @@ class FractionFieldDomain(Field):
         base = MultiPoly.const(inner_dom, self.inner_vars, inner_dom.one)
         self.one = RationalFunction(base, base)
         self.zero = RationalFunction(base * 0, base)
+        # the exponents of a constant, when lincomb can run on integers: over
+        # QQ, in at least one variable
+        self._unit_exp = None
+        if inner_dom is QQ and self.inner_vars:
+            self._unit_exp = (0,) * len(self.inner_vars)
+
+    def lincomb(self, items):
+        """Over QQ, when every operand's denominator is one (the normal form
+        of a constant denominator), the sum is a polynomial over one, and it
+        runs on integers with one normalisation per output term: delayed
+        normalisation (M. Monagan and R. Pearce, CASC 2007) on the integer
+        numerator and common denominator of FLINT's ``fmpq_poly`` (W. Hart,
+        ICMS 2010).  Each numerator is cleared to ZZ, every product
+        w*(D/d)*X*Y goes into one dict keyed by packed monomials over the
+        common denominator D, and each output coefficient is built once as
+        Fraction(k, D).  Any other denominator takes the default."""
+        items = list(items)
+        e0 = self._unit_exp
+        dens = [x.den.terms for _, x, _ in items]
+        dens += [y.den.terms for _, _, y in items if y is not None]
+        if e0 is None or not all(len(t) == 1 and e0 in t for t in dens):
+            return super().lincomb(items)
+        one = self.one.num
+        parts, top = [], 0
+        for w, x, y in items:
+            lx, (zx,) = _clear_denominators([x.num])
+            ly, (zy,) = _clear_denominators([one if y is None else y.num])
+            if zx.terms and zy.terms:
+                top = max(top, max(map(max, zx.terms)) + max(map(max, zy.terms)))
+                parts.append((w.numerator, w.denominator * lx * ly, zx.terms, zy.terms))
+        if not parts:
+            return self.zero
+        D = math.lcm(*(d for _, d, _, _ in parts))
+        # packed as in _mul_terms: no field of a sum exceeds ``top``
+        width = max(top.bit_length(), 1)
+        acc: dict = {}
+        for wn, d, xt, yt in parts:
+            c = wn * (D // d)
+            xk = [(_pack(e, width), c * k) for e, k in xt.items()]
+            for kb, b in [(_pack(e, width), k) for e, k in yt.items()]:
+                for ka, a in xk:
+                    k = ka + kb
+                    s = acc.get(k)
+                    acc[k] = a * b if s is None else s + a * b
+        out = {k: Fraction(v, D) for k, v in acc.items() if v}
+        num = MultiPoly(QQ, self.inner_vars, _unpack_terms(out, width, len(e0)))
+        return RationalFunction._reduced(num, self.one.den)
 
     def coerce(self, x):
         if isinstance(x, RationalFunction):
@@ -431,7 +511,8 @@ class MultiPoly(RingOps):
     # -- bookkeeping ------------------------------------------------------
 
     def _check_compatible(self, other: "MultiPoly"):
-        if self.vars != other.vars or self.dom != other.dom:
+        # the same domain object on both sides is the common case: no __eq__
+        if self.vars != other.vars or not (self.dom is other.dom or self.dom == other.dom):
             raise ValueError(
                 "incompatible polynomial rings %s[%s] vs %s[%s]"
                 % (self.dom, self.vars, other.dom, other.vars)
@@ -513,7 +594,7 @@ class MultiPoly(RingOps):
             return NotImplemented
         if not self.terms or not o.terms:
             return MultiPoly.zero(self.dom, self.vars)
-        if self.dom != QQ or len(self.terms) == 1 or len(o.terms) == 1:
+        if self.dom is not QQ or len(self.terms) == 1 or len(o.terms) == 1:
             # a one-term factor only scales: no cheaper on integers
             return MultiPoly(self.dom, self.vars, _mul_terms(self.terms, o.terms))
         # over QQ: an integer product, scaled back once per output term
@@ -532,7 +613,7 @@ class MultiPoly(RingOps):
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
             return (
-                self.dom == other.dom
+                (self.dom is other.dom or self.dom == other.dom)
                 and self.vars == other.vars
                 and self.terms == other.terms
             )
@@ -1046,7 +1127,7 @@ def resultant(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
         raise ValueError("resultant variable %r absent from both inputs" % name)
     if not p or not q:
         return MultiPoly.zero(p.dom, p.vars)
-    if p.dom != QQ:
+    if p.dom is not QQ:
         return _resultant(p, q, name)
     # res(P/Lp, Q/Lq) = Lp^-deg(Q) * Lq^-deg(P) * res(P, Q)
     (lp, (zp,)), (lq, (zq,)) = _clear_denominators([p]), _clear_denominators([q])
@@ -1086,7 +1167,7 @@ def discriminant(p: MultiPoly, name: str) -> MultiPoly:
     """res(p, dp/dname) / lc, with the classical sign.  Over QQ it runs on
     ZZ, on P = L*p with L the lcm of the coefficient denominators, and
     disc(P/L) = L^(2-2*deg P) * disc(P)."""
-    if p.dom != QQ or not p.uses(name):
+    if p.dom is not QQ or not p.uses(name):
         return _discriminant(p, name)
     lp, (zp,) = _clear_denominators([p])
     return _to_qq(_discriminant(zp, name), Fraction(1, lp ** (2 * p.degree_in(name) - 2)))
@@ -1118,7 +1199,7 @@ def det_fraction_free(rows) -> MultiPoly:
         raise ValueError("matrix is not square")
     if n == 0:
         raise ValueError("empty matrix")
-    if rows[0][0].dom != QQ:
+    if rows[0][0].dom is not QQ:
         return _bareiss([list(r) for r in rows])
     den, m = 1, []
     for r in rows:

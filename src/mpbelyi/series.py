@@ -11,13 +11,25 @@ Coefficient fields are the domain tags from the polynomial layer (or any
 object with the same small protocol, ``poly.Field``), which lets one series
 type serve rational, quadratic-field, rational-function, and extension
 coefficients; ``-``, ``/`` and ``**`` of series come from ``scalars.FieldOps``.
+
+Every coefficient of a product, an inverse or a square root is one call of
+the domain's ``lincomb``, the sum of w*x*y over a list of (w, x, y) with
+int or ``Fraction`` weights (see ``poly.Field``): the whole convolution of
+that coefficient at once.  On most domains that is the plain sum of
+products; over Frac(Q[a,c]), where every coefficient of the ansatz curve's
+frames has denominator one, it runs on integers and normalises each output
+term once.  A lead of one, whose inverse and root are one too, scales no
+coefficient.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .scalars import FieldOps
 
 MAX_TRUNCATION = 64
+HALF, MINUS_HALF = Fraction(1, 2), Fraction(-1, 2)
 
 
 class SeriesPrecisionError(ArithmeticError):
@@ -84,7 +96,7 @@ class LaurentSeries(FieldOps):
         return bool(self.coeffs)
 
     def _check(self, other: "LaurentSeries"):
-        if self.dom != other.dom:
+        if not (self.dom is other.dom or self.dom == other.dom):
             raise ValueError("series live over different coefficient fields")
 
     def _wrap(self, x):
@@ -124,15 +136,13 @@ class LaurentSeries(FieldOps):
             return NotImplemented
         va, vb = self._effective_valuation(), o._effective_valuation()
         prec = min(va + o.prec, vb + self.prec)
-        out: dict = {}
-        for i, ci in self.coeffs.items():
-            for j, cj in o.coeffs.items():
-                k = i + j
-                if k >= prec:
-                    continue
-                prod = ci * cj
-                cur = out.get(k)
-                out[k] = prod if cur is None else cur + prod
+        a, b = self.coeffs, o.coeffs
+        lincomb = self.dom.lincomb
+        out = {}
+        for k in range(va + vb, prec):
+            items = [(1, c, b[k - i]) for i, c in a.items() if k - i in b]
+            if items:
+                out[k] = lincomb(items)
         return LaurentSeries(self.dom, out, prec)
 
     __rmul__ = __mul__
@@ -141,27 +151,30 @@ class LaurentSeries(FieldOps):
         """Multiply by t**k."""
         return LaurentSeries(self.dom, {e + k: c for e, c in self.coeffs.items()}, self.prec + k)
 
-    def inverse(self) -> "LaurentSeries":
+    def _lead_split(self, what: str):
+        """(v, lead, 1/lead, u) with self = lead * t^v * (1 + u(t)), u keyed
+        from 1 and known below order prec - v."""
         v = self.valuation()
         if v is None:
-            raise ZeroDivisionError("inverting a series that vanishes to its truncation")
+            raise ZeroDivisionError("%s a series that vanishes to its truncation" % what)
         lead = self.coeffs[v]
-        rel = self.prec - v
         inv_lead = self.dom.div(self.dom.one, lead)
-        # u = self / (lead * t^v) - 1 has valuation >= 1, known below order rel
-        u = {k - v: c * inv_lead for k, c in self.coeffs.items() if k != v}
-        g = {0: self.dom.one}
+        u = _scaled({k - v: c for k, c in self.coeffs.items() if k != v}, inv_lead, self.dom)
+        return v, lead, inv_lead, u
+
+    def inverse(self) -> "LaurentSeries":
+        """g = 1/(1 + u) term by term: g_n = -(sum of u_k g_(n-k) over
+        0 < k <= n), one ``lincomb`` per coefficient."""
+        v, _, inv_lead, u = self._lead_split("inverting")
+        dom = self.dom
+        rel = self.prec - v
+        g = {0: dom.one}
         for n in range(1, rel):
-            s = self.dom.zero
-            for k, uk in u.items():
-                if 0 < k <= n:
-                    gk = g.get(n - k)
-                    if gk is not None:
-                        s = s + uk * gk
-            if not self.dom.is_zero(s):
-                g[n] = -s
-        out = {e - v: c * inv_lead for e, c in g.items()}
-        return LaurentSeries(self.dom, out, rel - v)
+            c = dom.lincomb([(-1, uk, g[n - k]) for k, uk in u.items() if k <= n and n - k in g])
+            if not dom.is_zero(c):
+                g[n] = c
+        g = _scaled(g, inv_lead, dom)
+        return LaurentSeries(dom, {e - v: c for e, c in g.items()}, rel - v)
 
     def sqrt(self) -> "LaurentSeries":
         """Exact square root: valuation must be even and the leading
@@ -169,41 +182,31 @@ class LaurentSeries(FieldOps):
 
         With self = lead * t^v * (1 + u), the root is root(lead) * t^(v/2)
         * s where s = 1 + s_1 t + ... solves s^2 = 1 + u term by term:
-        s_n = (u_n - s_(n/2)^2)/2 - sum of s_i s_(n-i) over 0 < i < n/2,
-        the square present only for even n.  Each unordered pair of the
-        convolution is multiplied once, so the window of n terms costs
-        about n^2/4 products."""
-        v = self.valuation()
-        if v is None:
-            raise ZeroDivisionError("square root of a series that vanishes to its truncation")
+        s_n = u_n/2 - s_(n/2)^2/2 - sum of s_i s_(n-i) over 0 < i < n/2,
+        the square present only for even n, as one ``lincomb``.  Each
+        unordered pair of the convolution is multiplied once, so the window
+        of n terms costs about n^2/4 products."""
+        v, lead, _, u = self._lead_split("square root of")
         if v % 2:
             raise ArithmeticError("series has odd valuation %d, no square root" % v)
-        lead = self.coeffs[v]
-        root = self.dom.sqrt(lead)
+        dom = self.dom
+        root = dom.sqrt(lead)
         if root is None:
             raise ArithmeticError("leading coefficient is not a square in the coefficient field")
         rel = self.prec - v
-        inv_lead = self.dom.div(self.dom.one, lead)
-        u = {k - v: c * inv_lead for k, c in self.coeffs.items() if k != v}
-        s = {0: self.dom.one}
-        half = self.dom.div(self.dom.one, self.dom.coerce(2))
+        s = {0: dom.one}
         for n in range(1, rel):
-            acc = u.get(n, self.dom.zero)
-            mid = s.get(n // 2) if n % 2 == 0 else None
-            if mid is not None:
-                acc = acc - mid * mid
-            cn = acc * half
-            pairs = None
-            for i in range(1, (n + 1) // 2):
-                si, sj = s.get(i), s.get(n - i)
-                if si is not None and sj is not None:
-                    pairs = si * sj if pairs is None else pairs + si * sj
-            if pairs is not None:
-                cn = cn - pairs
-            if not self.dom.is_zero(cn):
-                s[n] = cn
-        out = {e + v // 2: c * root for e, c in s.items()}
-        return LaurentSeries(self.dom, out, rel + v // 2)
+            items = []
+            if n in u:
+                items.append((HALF, u[n], None))
+            if n % 2 == 0 and n // 2 in s:
+                items.append((MINUS_HALF, s[n // 2], s[n // 2]))
+            items += [(-1, s[i], s[n - i]) for i in range(1, (n + 1) // 2) if i in s and n - i in s]
+            c = dom.lincomb(items)
+            if not dom.is_zero(c):
+                s[n] = c
+        s = _scaled(s, root, dom)
+        return LaurentSeries(dom, {e + v // 2: c for e, c in s.items()}, rel + v // 2)
 
     def derivative(self) -> "LaurentSeries":
         out = {}
@@ -274,3 +277,10 @@ class LaurentSeries(FieldOps):
 
     def __repr__(self):
         return "LaurentSeries(%s)" % self
+
+
+def _scaled(coeffs: dict, k, dom) -> dict:
+    """Every coefficient times k; no products when k is one."""
+    if k == dom.one:
+        return coeffs
+    return {e: c * k for e, c in coeffs.items()}

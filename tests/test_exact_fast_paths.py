@@ -7,11 +7,19 @@ Each shortcut must give what the general path gives:
 - equality compares the unique normal forms part by part;
 - the series square root, which multiplies each pair once, squares back;
 - coercing 0 and 1 into Frac(Q[a,c]) returns the domain's own elements,
-  and any other constant is that constant over one.
+  and any other constant is that constant over one;
+- ``lincomb``, which runs on integers over Frac(Q[a,c]) when every
+  denominator is one, equals the schoolbook sum of products, and series
+  ``*``, ``inverse`` and ``sqrt``, one ``lincomb`` per coefficient, equal
+  schoolbook series arithmetic;
+- operands over the same domain object skip the domain's ``__eq__``, and
+  extension domains hash by their radicand.
 
-The last test counts gcds and exact divisions while the ansatz quartic's
-frames at infinity are built, so putting a gcd back on unit denominators
-fails here deterministically and not only as a slower benchmark.
+The last tests count gcds and exact divisions, and rational-function sums
+inside ``sqrt``, while the ansatz quartic's frames at infinity are built,
+so putting a gcd back on unit denominators, or a sum of rational functions
+back into the square root's convolution, fails here deterministically and
+not only as a slower benchmark.
 """
 
 from fractions import Fraction
@@ -198,6 +206,166 @@ def test_series_sqrt_squares_back_to_the_window(field, window, data):
     assert sq.prec == f.prec and sq == f
 
 
+# -- lincomb against the schoolbook sum of products ---------------------------------
+
+
+def schoolbook_lincomb(dom, items):
+    total = dom.zero
+    for w, x, y in items:
+        total = total + dom.coerce(w) * x * (dom.one if y is None else y)
+    return total
+
+
+def same_element(dom, r, s):
+    """r and s equal, and over Frac(Q[a,c]) identical in num and den."""
+    if dom is F:
+        return r.num == s.num and r.den == s.den
+    return r == s
+
+
+weights = st.one_of(st.integers(-3, 3), small_q)
+# Frac(Q[a,c]) elements over one (the integer kernel's case) or over a
+# nonconstant denominator (the default's)
+frac_unit = ac_poly(3).map(F.coerce)
+frac_any = st.one_of(
+    frac_unit,
+    st.builds(
+        lambda p, d: F.coerce(RationalFunction(p, parse_poly(d, AC))),
+        ac_poly(2),
+        st.sampled_from(["c+1", "a-2", "2*a*c+3"]),
+    ),
+)
+LINCOMB_FIELDS = {
+    "qq": (QQ, small_q),
+    "q105": (K, quad),
+    "frac_ac_unit": (F, frac_unit),
+    "frac_ac_any": (F, frac_any),
+}
+
+
+def lincomb_items(elements, max_size=5):
+    return st.lists(
+        st.tuples(weights, elements, st.one_of(st.none(), elements)), max_size=max_size
+    )
+
+
+@pytest.mark.parametrize("field", LINCOMB_FIELDS)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_lincomb_is_the_schoolbook_sum(field, data):
+    dom, elements = LINCOMB_FIELDS[field]
+    items = data.draw(lincomb_items(elements))
+    assert same_element(dom, dom.lincomb(items), schoolbook_lincomb(dom, items))
+    # the same terms again with opposite weights cancel to zero's normal form
+    cancel = items + [(-w, x, y) for w, x, y in items]
+    assert same_element(dom, dom.lincomb(cancel), dom.zero)
+
+
+@pytest.mark.parametrize("field", LINCOMB_FIELDS)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_lincomb_of_zero_weights_and_of_nothing_is_zero(field, data):
+    dom, elements = LINCOMB_FIELDS[field]
+    items = [(0, x, y) for _, x, y in data.draw(lincomb_items(elements))]
+    assert same_element(dom, dom.lincomb(items), dom.zero)
+    assert same_element(dom, dom.lincomb([]), dom.zero)
+    assert same_element(dom, dom.lincomb(iter(())), dom.zero)
+
+
+def test_lincomb_with_fraction_weights_over_one():
+    x, y = (F.coerce(parse_poly(t, AC)) for t in ("2/3*a+c", "3*c-1/5"))
+    r = F.lincomb([(Fraction(3, 4), x, y), (Fraction(-1, 6), y, None), (2, x, x)])
+    want = parse_poly("3/2*a*c+9/4*c^2-1/10*a-3/20*c-1/2*c+1/30+2*(2/3*a+c)^2", AC)
+    assert r.num == want and r.den == one_like(want)
+    assert all(type(c) is Fraction for c in r.num.terms.values())
+
+
+# -- series over Frac(Q[a,c]) against schoolbook series arithmetic ------------------
+
+
+def school_mul(f, g):
+    prec = min(f._effective_valuation() + g.prec, g._effective_valuation() + f.prec)
+    out = {}
+    for i, ci in f.coeffs.items():
+        for j, cj in g.coeffs.items():
+            if i + j < prec:
+                out[i + j] = out.get(i + j, F.zero) + ci * cj
+    return out, prec
+
+
+def school_inverse(f):
+    """g_0 = 1/a_v, g_n = -(a_(v+1) g_(n-1) + ... + a_(v+n) g_0)/a_v."""
+    v = f.valuation()
+    inv = F.one / f.coeffs[v]
+    g = [inv]
+    for n in range(1, f.prec - v):
+        acc = F.zero
+        for k in range(1, n + 1):
+            acc = acc + f.coefficient_of(v + k) * g[n - k]
+        g.append(-acc * inv)
+    return {n - v: c for n, c in enumerate(g)}, f.prec - 2 * v
+
+
+def school_sqrt(f, root):
+    """s_0 = root, s_n = (a_(v+n) - (s_1 s_(n-1) + ... + s_(n-1) s_1))/(2 s_0)."""
+    v = f.valuation()
+    s = [root]
+    for n in range(1, f.prec - v):
+        acc = f.coefficient_of(v + n)
+        for i in range(1, n):
+            acc = acc - s[i] * s[n - i]
+        s.append(acc / (root * 2))
+    return {n + v // 2: c for n, c in enumerate(s)}, f.prec - v + v // 2
+
+
+def assert_series(got, want):
+    coeffs, prec = want
+    assert got.prec == prec
+    coeffs = {k: c for k, c in coeffs.items() if c}
+    assert set(got.coeffs) == set(coeffs)
+    for k, c in coeffs.items():
+        assert got.coeffs[k].num == c.num and got.coeffs[k].den == c.den
+
+
+# leads are constants or c, for the reason given at SERIES_FIELDS
+frac_lead = st.sampled_from(["1", "-2", "3/2", "c", "2*c"]).map(lambda t: F.coerce(parse_poly(t, AC)))
+
+
+def frac_series(data, window, lead=None):
+    v = data.draw(st.integers(-2, 2))
+    tail = data.draw(st.lists(frac_unit, min_size=window - 1, max_size=window - 1))
+    terms = {v: data.draw(frac_lead) if lead is None else lead}
+    terms.update({v + 1 + i: c for i, c in enumerate(tail)})
+    return LaurentSeries(F, terms, v + window)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_frac_series_mul_is_the_schoolbook_product(data):
+    f, g = frac_series(data, 5), frac_series(data, data.draw(st.integers(2, 6)))
+    assert_series(f * g, school_mul(f, g))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_frac_series_inverse_is_the_schoolbook_inverse(data):
+    f = frac_series(data, data.draw(st.integers(1, 5)))
+    assert_series(f.inverse(), school_inverse(f))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_frac_series_sqrt_is_the_schoolbook_root(data):
+    root = data.draw(frac_lead)
+    f = frac_series(data, data.draw(st.integers(1, 5)), lead=root * root)
+    if f.valuation() % 2:
+        f = f.shift(1)
+    got = f.sqrt()
+    want = school_sqrt(f, got.coeffs[got.valuation()])
+    assert got.coeffs[got.valuation()] in (root, -root)
+    assert_series(got, want)
+
+
 # -- constants in Frac(Q[a,c]) ------------------------------------------------------
 
 
@@ -206,6 +374,26 @@ def test_coercing_zero_and_one_returns_the_domain_elements():
     r = F.coerce(Fraction(-3, 2))
     assert r.num == MultiPoly.const(QQ, AC, Fraction(-3, 2)) and r.den == one_like(r.num)
     assert r == RationalFunction(MultiPoly.const(QQ, AC, -3), MultiPoly.const(QQ, AC, 2))
+
+
+# -- domain identity and hashing ---------------------------------------------------
+
+
+def test_same_domain_object_skips_domain_equality(monkeypatch):
+    calls = []
+    eq = type(K).__eq__
+    monkeypatch.setattr(type(K), "__eq__", lambda self, other: calls.append(1) or eq(self, other))
+    p = MultiPoly.from_univariate(K, "x", [QuadExt(1, 1, 105), 2])
+    f = LaurentSeries(K, {0: K.one, 1: QuadExt(0, 1, 105)}, 4)
+    assert p * p - p == p * (p - 1) and f * f - f == f * (f - 1)
+    assert calls == []
+
+
+def test_extension_domains_hash_by_radicand():
+    assert len({hash(QuadDomain(d)) for d in (2, 3, 5, 105)}) == 4
+    assert hash(mpbelyi.poly.BranchExtDomain(K, K.coerce(3))) != hash(
+        mpbelyi.poly.BranchExtDomain(K, K.coerce(7))
+    )
 
 
 # -- no gcd on unit denominators ----------------------------------------------------
@@ -246,3 +434,38 @@ def test_ansatz_frames_at_infinity_run_no_gcd(monkeypatch):
     for sign, fr in zip((1, -1), frames):
         assert fr.y.coefficient_of(-2) == F.coerce(sign)
         assert fr.y.coefficient_of(-1) == half_c * sign
+
+
+def test_ansatz_frames_at_infinity_add_no_rational_functions_in_sqrt(monkeypatch):
+    """Inside ``LaurentSeries.sqrt`` every coefficient is one integer
+    ``lincomb``: no sum of rational functions or of QQ polynomials."""
+    places = ansatz_curve().places_at_infinity()
+    counts = {"rf_add": 0, "qq_poly_add": 0}
+    depth = [0]
+    sqrt = LaurentSeries.sqrt
+
+    def counted_sqrt(self):
+        depth[0] += 1
+        try:
+            return sqrt(self)
+        finally:
+            depth[0] -= 1
+
+    def counting(cls, key, qq_only=False):
+        fn = cls.__add__
+
+        def add(self, other):
+            if depth[0] and (not qq_only or self.dom is QQ):
+                counts[key] += 1
+            return fn(self, other)
+
+        monkeypatch.setattr(cls, "__add__", add)
+        monkeypatch.setattr(cls, "__radd__", add)
+
+    monkeypatch.setattr(LaurentSeries, "sqrt", counted_sqrt)
+    counting(RationalFunction, "rf_add")
+    counting(MultiPoly, "qq_poly_add", qq_only=True)
+    frames = [p.frame(12) for p in places]
+    assert counts == {"rf_add": 0, "qq_poly_add": 0}
+    # the window at infinity is prec + 6 wide and y starts at t^-2
+    assert all(fr.y.valuation() == -2 and fr.y.prec == 17 for fr in frames)
