@@ -19,7 +19,8 @@ that coefficient at once.  On most domains that is the plain sum of
 products; over Frac(Q[a,c]), where every coefficient of the ansatz curve's
 frames has denominator one, it runs on integers and normalises each output
 term once.  A lead of one, whose inverse and root are one too, scales no
-coefficient.
+coefficient, and a one-term series runs no recurrence: its inverse and
+root are those of its lead.
 """
 
 from __future__ import annotations
@@ -169,7 +170,8 @@ class LaurentSeries(FieldOps):
         dom = self.dom
         rel = self.prec - v
         g = {0: dom.one}
-        for n in range(1, rel):
+        # a one-term series (u empty) is its own lead: every g_n is zero
+        for n in range(1, rel if u else 1):
             c = dom.lincomb([(-1, uk, g[n - k]) for k, uk in u.items() if k <= n and n - k in g])
             if not dom.is_zero(c):
                 g[n] = c
@@ -195,7 +197,8 @@ class LaurentSeries(FieldOps):
             raise ArithmeticError("leading coefficient is not a square in the coefficient field")
         rel = self.prec - v
         s = {0: dom.one}
-        for n in range(1, rel):
+        # a one-term series (u empty) is its lead's root: every s_n is zero
+        for n in range(1, rel if u else 1):
             items = []
             if n in u:
                 items.append((HALF, u[n], None))

@@ -11,15 +11,17 @@ Each shortcut must give what the general path gives:
 - ``lincomb``, which runs on integers over Frac(Q[a,c]) when every
   denominator is one, equals the schoolbook sum of products, and series
   ``*``, ``inverse`` and ``sqrt``, one ``lincomb`` per coefficient, equal
-  schoolbook series arithmetic;
+  schoolbook series arithmetic; a one-term series inverts and roots with
+  no ``lincomb`` at all;
 - operands over the same domain object skip the domain's ``__eq__``, and
   extension domains hash by their radicand.
 
-The last tests count gcds and exact divisions, and rational-function sums
-inside ``sqrt``, while the ansatz quartic's frames at infinity are built,
-so putting a gcd back on unit denominators, or a sum of rational functions
-back into the square root's convolution, fails here deterministically and
-not only as a slower benchmark.
+The last tests count gcds and exact divisions, rational-function sums
+inside ``sqrt`` and empty ``lincomb`` calls, while the ansatz quartic's
+frames and orders at infinity are built, so putting a gcd back on unit
+denominators, or a sum of rational functions back into the square root's
+convolution, fails here deterministically and not only as a slower
+benchmark.
 """
 
 from fractions import Fraction
@@ -366,6 +368,24 @@ def test_frac_series_sqrt_is_the_schoolbook_root(data):
     assert_series(got, want)
 
 
+@pytest.mark.parametrize("lead", ["1", "3/2", "2*c"])
+@pytest.mark.parametrize("v", [-2, 0, 2])
+def test_one_term_series_inverse_and_sqrt_run_no_convolution(monkeypatch, lead, v):
+    """A one-term series inverts and roots by its lead alone: the same
+    coefficients and prec as schoolbook arithmetic, and no ``lincomb``."""
+    calls = []
+    lincomb = type(F).lincomb
+    monkeypatch.setattr(type(F), "lincomb", lambda self, items: calls.append(items) or lincomb(self, items))
+    lead = F.coerce(parse_poly(lead, AC))
+    f = LaurentSeries(F, {v: lead}, v + 6)
+    assert_series(f.inverse(), school_inverse(f))
+    square = LaurentSeries(F, {v: lead * lead}, v + 6)
+    got = square.sqrt()
+    assert got.coeffs[v // 2] in (lead, -lead)
+    assert_series(got, school_sqrt(square, got.coeffs[v // 2]))
+    assert calls == []
+
+
 # -- constants in Frac(Q[a,c]) ------------------------------------------------------
 
 
@@ -469,3 +489,17 @@ def test_ansatz_frames_at_infinity_add_no_rational_functions_in_sqrt(monkeypatch
     assert counts == {"rf_add": 0, "qq_poly_add": 0}
     # the window at infinity is prec + 6 wide and y starts at t^-2
     assert all(fr.y.valuation() == -2 and fr.y.prec == 17 for fr in frames)
+
+
+def test_ansatz_orders_at_infinity_run_no_empty_lincomb(monkeypatch):
+    """``order_at`` divides by the series of a constant-one denominator;
+    that inverse makes no ``lincomb`` call with nothing to sum."""
+    curve = ansatz_curve()
+    x2 = RationalFunction(MultiPoly(F, ("x",), {(2,): F.one}))
+    one = RationalFunction(MultiPoly.const(F, ("x",), F.one))
+    elem = mpbelyi.curve.FunctionFieldElement(curve, x2, one)
+    calls = []
+    lincomb = type(F).lincomb
+    monkeypatch.setattr(type(F), "lincomb", lambda self, items: calls.append(len(items)) or lincomb(self, items))
+    orders = [mpbelyi.curve.order_at(elem, place) for place in curve.places_at_infinity()]
+    assert orders == [-2, -1] and calls and 0 not in calls

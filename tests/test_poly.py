@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mpbelyi import goldens as G
 from mpbelyi import poly as poly_module
 from mpbelyi.parse import ParseError, parse_poly, parse_scalar
 from mpbelyi.poly import (
@@ -21,6 +22,7 @@ from mpbelyi.poly import (
     QQ,
     QuadDomain,
     RationalFunction,
+    ZZ,
     det_fraction_free,
     discriminant,
     divide_out,
@@ -479,6 +481,126 @@ def test_bareiss_row_scaling_and_cofactor_oracle(entries, r):
     ds = det_fraction_free(scaled)
     assert is_qq(ds)
     assert ds == d.scale(r[0] * r[1] * r[2])
+
+
+# -- resultants over ZZ: evaluation at integer points against the PRS ------------
+
+ABC = ("a", "b", "c")
+zz_coeff = st.integers(-9, 9).filter(bool)
+
+
+def zz_poly(variables, max_c=3, max_other=2, max_terms=5):
+    exps = st.tuples(*[st.integers(0, max_c if v == "c" else max_other) for v in variables])
+    return st.dictionaries(exps, zz_coeff, min_size=1, max_size=max_terms).map(
+        lambda t: MultiPoly(ZZ, variables, t)
+    )
+
+
+def checked_resultant(p, q):
+    """res_c(p, q) over ZZ, checked against the ``MultiPoly`` PRS."""
+    r = resultant(p, q, "c")
+    assert r.dom is ZZ and r.vars == p.vars
+    assert r == poly_module._resultant(p, q, "c")
+    return r
+
+
+@PROPS
+@given(zz_poly(AC), zz_poly(AC))
+def test_eval_resultant_is_the_prs_resultant(p, q):
+    assume(p.uses("c") or q.uses("c"))
+    checked_resultant(p, q)
+
+
+@PROPS
+@given(zz_poly(ABC, max_c=2, max_terms=4), zz_poly(ABC, max_c=2, max_terms=4))
+def test_eval_resultant_in_three_variables(p, q):
+    assume(p.uses("c") or q.uses("c"))
+    checked_resultant(p, q)
+
+
+@PROPS
+@given(
+    st.lists(st.integers(-2, 2), min_size=1, max_size=3, unique=True),
+    st.integers(1, 3),
+    zz_poly(AC, max_c=2),
+    zz_poly(AC),
+)
+def test_eval_resultant_skips_points_where_a_leading_coefficient_vanishes(roots, k, tail, q):
+    # lc_c(p) = prod(a - r) vanishes at some of the first points 0, 1, -1, 2, -2
+    a, c = MultiPoly.var(ZZ, AC, "a"), MultiPoly.var(ZZ, AC, "c")
+    lc = MultiPoly.const(ZZ, AC, 1)
+    for r in roots:
+        lc = lc * (a - r)
+    p = lc * c ** (tail.degree_in("c") + k) + tail
+    checked_resultant(p, q)
+    checked_resultant(q * (a - roots[0]), p)
+
+
+@PROPS
+@given(zz_poly(AC), zz_poly(AC), zz_poly(AC, max_terms=3))
+def test_eval_resultant_of_inputs_with_a_common_factor_is_zero(f, g, h):
+    assume(h.uses("c"))
+    assert not checked_resultant(f * h, g * h)
+
+
+@PROPS
+@given(zz_poly(AC, max_c=0), zz_poly(AC))
+def test_eval_resultant_with_an_input_free_of_the_variable(p, q):
+    assume(q.uses("c"))
+    assert checked_resultant(p, q) == p ** q.degree_in("c")
+    assert checked_resultant(q, p) == p ** q.degree_in("c")
+
+
+@PROPS
+@given(st.integers(1, 3), st.integers(1, 3), zz_coeff, zz_coeff, zz_poly(AC, 2, 1), zz_poly(AC, 2, 1))
+def test_eval_resultant_attains_the_degree_bound(m, n, alpha, beta, ptail, qtail):
+    """p = c^m + alpha*a^m + lower, q = c^n + beta*a^n + lower, both of
+    total degree their degree in c, so D_a = n*m + m*n - m*n = m*n, and the
+    coefficient of a^(m*n) is res(c^m + alpha, c^n + beta)."""
+    ptail, qtail = (
+        MultiPoly(ZZ, AC, {e: k for e, k in t.terms.items() if sum(e) < d})
+        for t, d in ((ptail, m), (qtail, n))
+    )
+    p = MultiPoly(ZZ, AC, {(0, m): 1, (m, 0): alpha}) + ptail
+    q = MultiPoly(ZZ, AC, {(0, n): 1, (n, 0): beta}) + qtail
+    top = sylvester_resultant([alpha] + [0] * (m - 1) + [1], [beta] + [0] * (n - 1) + [1])
+    assume(top)
+    r = checked_resultant(p, q)
+    assert r.degree_in("a") == m * n and r.coefficient({"a": m * n}) == top
+
+
+def test_newton_interpolation_is_exact_or_raises():
+    xs = [0, 1, -1, 2, -2]
+    poly = [7, -3, 0, 5]  # 7 - 3v + 5v^3 at five nodes: degree bound 4
+    ys = [sum(k * x**i for i, k in enumerate(poly)) for x in xs]
+    assert poly_module._newton_interpolate(xs, ys) == poly + [0]
+    with pytest.raises(ArithmeticError):
+        poly_module._newton_interpolate([0, 1, -1], [0, 1, 0])  # (v^2 + v)/2
+
+
+def test_resultant_at_the_real_bidegree():
+    """res_c(F3, H) with H even of bidegree (20, 20) and 90-bit
+    coefficients, the shape of the residue cofactor's elimination (the
+    recipe of BENCH_packed_monomials.json): 201 terms, degree 400 in a,
+    1,595-bit coefficients, and three specialisations equal to sympy's."""
+    import sympy as sp
+
+    rng = random.Random(11)
+    h = {}
+    for i in range(21):
+        for j in range(21):
+            if (i + j) % 2 == 0:
+                h[(i, j)] = Fraction(rng.choice((1, -1)) * rng.randrange(1 << 89, 1 << 90))
+    f3, h = parse_poly(G.F3, AC), MultiPoly(QQ, AC, h)
+    r = resultant(f3, h, "c")
+    assert is_qq(r) and all(e[1] == 0 for e in r.terms)
+    assert len(r.terms) == 201 and r.degree_in("a") == 400
+    bits = max(max(k.numerator.bit_length(), k.denominator.bit_length()) for k in r.terms.values())
+    assert bits == 1595
+    c = sp.Symbol("c")
+    for a0 in (-3, 2, 7):
+        f0, h0 = (sp.Poly(list(reversed(at_a(p, a0))), c) for p in (f3, h))
+        assert r.eval_scalars({"a": a0, "c": 0}) == sp.resultant(f0, h0)
 
 
 def test_nullspace_random_consistency():
