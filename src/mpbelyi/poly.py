@@ -295,24 +295,26 @@ class FractionFieldDomain(Field):
         runs on integers with one normalisation per output term: delayed
         normalisation (M. Monagan and R. Pearce, CASC 2007) on the integer
         numerator and common denominator of FLINT's ``fmpq_poly`` (W. Hart,
-        ICMS 2010).  Each numerator is cleared to ZZ, every product
-        w*(D/d)*X*Y goes into one dict keyed by packed monomials over the
-        common denominator D, and each output coefficient is built once as
-        Fraction(k, D).  Any other denominator takes the default."""
+        ICMS 2010).  Each operand's numerator is cleared to ZZ once, on its
+        first use, and kept with the operand (``RationalFunction._cleared``);
+        every product w*(D/d)*X*Y goes into one dict keyed by packed
+        monomials over the common denominator D, and each output coefficient
+        is built once as Fraction(k, D).  Any other denominator takes the
+        default."""
         items = list(items)
         e0 = self._unit_exp
         dens = [x.den.terms for _, x, _ in items]
         dens += [y.den.terms for _, _, y in items if y is not None]
         if e0 is None or not all(len(t) == 1 and e0 in t for t in dens):
             return super().lincomb(items)
-        one = self.one.num
+        one = self.one
         parts, top = [], 0
         for w, x, y in items:
-            lx, (zx,) = _clear_denominators([x.num])
-            ly, (zy,) = _clear_denominators([one if y is None else y.num])
-            if zx.terms and zy.terms:
-                top = max(top, max(map(max, zx.terms)) + max(map(max, zy.terms)))
-                parts.append((w.numerator, w.denominator * lx * ly, zx.terms, zy.terms))
+            lx, zx, tx = x._cleared()
+            ly, zy, ty = (one if y is None else y)._cleared()
+            if zx and zy:
+                top = max(top, tx + ty)
+                parts.append((w.numerator, w.denominator * lx * ly, zx, zy))
         if not parts:
             return self.zero
         D = math.lcm(*(d for _, d, _, _ in parts))
@@ -1531,9 +1533,12 @@ class RationalFunction(FieldOps):
     gcd cancelled and the denominator in its normal form (monic, except
     primitive-integer with positive leading coefficient over QQ; see
     ``MultiPoly.primitive``), so that over every domain equal rational
-    functions have identical num and den."""
+    functions have identical num and den.
 
-    __slots__ = ("num", "den")
+    Over QQ, ``_zz`` holds num's cleared integer form once ``_cleared``
+    has computed it; an immutable value never makes it stale."""
+
+    __slots__ = ("num", "den", "_zz")
 
     def __init__(self, num: MultiPoly, den: MultiPoly | None = None):
         if den is None:
@@ -1580,6 +1585,17 @@ class RationalFunction(FieldOps):
         object.__setattr__(out, "num", num)
         object.__setattr__(out, "den", den)
         return out
+
+    def _cleared(self):
+        """(L, terms, top) for num over QQ: L*num as ZZ terms and its largest
+        exponent, computed on the first call and kept in ``_zz``."""
+        try:
+            return self._zz
+        except AttributeError:
+            L, (z,) = _clear_denominators([self.num])
+            out = (L, z.terms, max(map(max, z.terms), default=0))
+            object.__setattr__(self, "_zz", out)
+            return out
 
     def __neg__(self):
         # negating a reduced numerator leaves the quotient reduced

@@ -18,9 +18,12 @@ int or ``Fraction`` weights (see ``poly.Field``): the whole convolution of
 that coefficient at once.  On most domains that is the plain sum of
 products; over Frac(Q[a,c]), where every coefficient of the ansatz curve's
 frames has denominator one, it runs on integers and normalises each output
-term once.  A lead of one, whose inverse and root are one too, scales no
+term once, with each operand's numerator cleared to integers only on its
+first use.  A lead of one, whose inverse and root are one too, scales no
 coefficient, and a one-term series runs no recurrence: its inverse and
-root are those of its lead.
+root are those of its lead, and a product with it is the other factor
+shifted and scaled by its coefficient (not scaled at all when that is one),
+which is every Horner step of a polynomial at x(t) = 1/t or t.
 """
 
 from __future__ import annotations
@@ -138,6 +141,12 @@ class LaurentSeries(FieldOps):
         va, vb = self._effective_valuation(), o._effective_valuation()
         prec = min(va + o.prec, vb + self.prec)
         a, b = self.coeffs, o.coeffs
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # a one-term factor c*t^e shifts the other factor and scales it by c
+            ((e, c),) = b.items()
+            return LaurentSeries(self.dom, {k + e: x for k, x in _scaled(a, c, self.dom).items()}, prec)
         lincomb = self.dom.lincomb
         out = {}
         for k in range(va + vb, prec):

@@ -11,20 +11,28 @@ Each shortcut must give what the general path gives:
 - ``lincomb``, which runs on integers over Frac(Q[a,c]) when every
   denominator is one, equals the schoolbook sum of products, and series
   ``*``, ``inverse`` and ``sqrt``, one ``lincomb`` per coefficient, equal
-  schoolbook series arithmetic; a one-term series inverts and roots with
+  schoolbook series arithmetic; a one-term series inverts and roots, and
+  a product with a one-term factor on either side shifts and scales, with
   no ``lincomb`` at all;
+- a rational function's cleared integer form is computed once, equals
+  ``_clear_denominators`` of its numerator and takes no part in
+  immutability, equality or hashing;
 - operands over the same domain object skip the domain's ``__eq__``, and
   extension domains hash by their radicand.
 
-The last tests count gcds and exact divisions, rational-function sums
-inside ``sqrt`` and empty ``lincomb`` calls, while the ansatz quartic's
-frames and orders at infinity are built, so putting a gcd back on unit
-denominators, or a sum of rational functions back into the square root's
-convolution, fails here deterministically and not only as a slower
-benchmark.
+Some tests count calls while the ansatz quartic's frames and orders at
+infinity are built: gcds and exact divisions, rational-function sums
+inside ``sqrt``, empty ``lincomb`` calls, ``lincomb`` calls from the Horner
+steps at one-term points, and clearings of one numerator twice.  So
+putting a gcd back on unit denominators, a sum of rational functions back
+into the square root's convolution, a convolution back into a one-term
+product or a clearing back into every product fails here deterministically
+and not only as a slower benchmark.
 """
 
+import contextlib
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -35,8 +43,8 @@ import mpbelyi.poly
 from mpbelyi import goldens as G
 from mpbelyi.curve import CurveModel
 from mpbelyi.parse import parse_poly
-from mpbelyi.poly import FractionFieldDomain, MultiPoly, QQ, QuadDomain, RationalFunction
-from mpbelyi.scalars import QuadExt
+from mpbelyi.poly import BranchExtDomain, FractionFieldDomain, MultiPoly, QQ, QuadDomain, RationalFunction
+from mpbelyi.scalars import BranchExt, QuadExt
 from mpbelyi.series import LaurentSeries
 
 PROPS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -291,7 +299,7 @@ def school_mul(f, g):
     for i, ci in f.coeffs.items():
         for j, cj in g.coeffs.items():
             if i + j < prec:
-                out[i + j] = out.get(i + j, F.zero) + ci * cj
+                out[i + j] = out.get(i + j, f.dom.zero) + ci * cj
     return out, prec
 
 
@@ -326,7 +334,7 @@ def assert_series(got, want):
     coeffs = {k: c for k, c in coeffs.items() if c}
     assert set(got.coeffs) == set(coeffs)
     for k, c in coeffs.items():
-        assert got.coeffs[k].num == c.num and got.coeffs[k].den == c.den
+        assert same_element(got.dom, got.coeffs[k], c)
 
 
 # leads are constants or c, for the reason given at SERIES_FIELDS
@@ -384,6 +392,106 @@ def test_one_term_series_inverse_and_sqrt_run_no_convolution(monkeypatch, lead, 
     assert got.coeffs[v // 2] in (lead, -lead)
     assert_series(got, school_sqrt(square, got.coeffs[v // 2]))
     assert calls == []
+
+
+# -- products with a one-term factor --------------------------------------------------
+
+
+@contextlib.contextmanager
+def lincomb_calls(dom):
+    """The item lists of every ``lincomb`` call on dom's class in the block."""
+    calls = []
+    lincomb = type(dom).lincomb
+    with mock.patch.object(type(dom), "lincomb", lambda self, items: calls.append(items) or lincomb(self, items)):
+        yield calls
+
+
+WQ = BranchExtDomain(K, QuadExt(595, -23, 105))
+ONE_TERM_FIELDS = {
+    "qq": (QQ, small_q),
+    "q105": (K, quad),
+    "frac_ac_unit": (F, frac_unit),
+    "frac_ac_any": (F, frac_any),
+    "branch_q105": (WQ, st.builds(lambda a, b: BranchExt(a, b, WQ), quad, quad)),
+}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("field", ONE_TERM_FIELDS)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_product_with_a_one_term_factor_is_a_scaled_shift(field, side, data):
+    """c*t^e times a series on either side is the schoolbook product, with
+    the same prec, and runs no convolution."""
+    dom, elements = ONE_TERM_FIELDS[field]
+    e = data.draw(st.integers(-3, 3))
+    c = data.draw(st.one_of(st.just(dom.one), elements.filter(bool)))
+    mono = LaurentSeries(dom, {e: c}, e + data.draw(st.integers(1, 6)))
+    v = data.draw(st.integers(-2, 2))
+    window = data.draw(st.lists(elements, min_size=1, max_size=6))
+    f = LaurentSeries(dom, {v + i: x for i, x in enumerate(window)}, v + len(window))
+    pair = (mono, f) if side == "left" else (f, mono)
+    with lincomb_calls(dom) as calls:
+        got = pair[0] * pair[1]
+    assert calls == []
+    assert_series(got, school_mul(*pair))
+
+
+def test_ansatz_polynomial_at_one_term_points_runs_no_lincomb():
+    """At the places at infinity x(t) = 1/t and at the basepoint x(t) = t:
+    every Horner step of f multiplies by a one-term series, a shift."""
+    curve = ansatz_curve()
+    places = curve.places_at_infinity() + [curve.point(0)]
+    frames = [place.frame(12) for place in places]
+    with lincomb_calls(F) as calls:
+        values = [mpbelyi.curve._eval_poly_series(curve.f, fr.x) for fr in frames]
+    assert calls == []
+    f_terms = {k: c for (k,), c in curve.f.terms.items()}
+    for fr, got in zip(frames, values):
+        ((e, one),) = fr.x.coeffs.items()
+        assert one == F.one and got.coeffs == {k * e: c for k, c in f_terms.items()}
+
+
+# -- the cleared integer form of a rational function ----------------------------------
+
+
+def test_frames_at_infinity_clear_each_numerator_once(monkeypatch):
+    """Each numerator that enters a ``lincomb`` is cleared to ZZ on its first
+    use only; the cleared polynomials are kept, so no id is reused."""
+    places = ansatz_curve().places_at_infinity()
+    cleared = []
+    clear = mpbelyi.poly._clear_denominators
+
+    def counted(polys):
+        cleared.extend(polys)
+        return clear(polys)
+
+    monkeypatch.setattr(mpbelyi.poly, "_clear_denominators", counted)
+    for place in places:
+        place.frame(12)
+    assert cleared and len(cleared) == len({id(p) for p in cleared})
+
+
+def hash_or_error(x):
+    try:
+        return hash(x)
+    except TypeError as exc:
+        return str(exc)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(x=frac_unit)
+def test_cleared_form_is_cached_and_invisible(x):
+    L, (z,) = mpbelyi.poly._clear_denominators([x.num])
+    assert x._cleared() == (L, z.terms, max(map(max, z.terms), default=0))
+    assert x._cleared() is x._cleared()
+    with pytest.raises(AttributeError):
+        x.num = x.den
+    with pytest.raises(AttributeError):
+        x._zz = None
+    fresh = RationalFunction(x.num, x.den)
+    assert x == fresh and fresh == x and not hasattr(fresh, "_zz")
+    assert hash_or_error(x) == hash_or_error(fresh)
 
 
 # -- constants in Frac(Q[a,c]) ------------------------------------------------------
