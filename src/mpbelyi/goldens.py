@@ -31,9 +31,9 @@ R_OVER_S = Fraction(25, 24)
 B_VALUE = "1/4*a^2-25/12"
 
 # -- stage: locate_A2 --------------------------------------------------------
-# The second distinguished affine point: its x-coordinate, the square of
-# its y-coordinate times -2401 (an integer polynomial), and the tangent
-# slope data there (cross-multiplied form).
+# The second distinguished affine point: its x-coordinate, its
+# y-coordinate times -2401 (an integer polynomial), and the tangent slope
+# data there (cross-multiplied form).
 
 A2_X = "600/49*a+576/49*c"
 F2 = "-2401+705888*a*c+360300*a^2+345600*c^2"

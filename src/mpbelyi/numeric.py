@@ -3,9 +3,8 @@
 Everything exact lives elsewhere; exact coefficients reach mpmath through
 ``scalars.to_bigfloat``.  The module provides root finding for dense
 univariate polynomials, a two-variable Newton polish for isolating a root
-of a pair of bivariate polynomials, clustering of approximate values,
-numeric j-invariants from root configurations, and the finite critical
-values of a map A(x) + y*B(x) on y^2 = f(x).
+of a pair of bivariate polynomials, clustering of approximate values, and
+the finite critical values of a map A(x) + y*B(x) on y^2 = f(x).
 """
 
 from fractions import Fraction
@@ -107,37 +106,6 @@ def cluster(values, tol):
     out = [(g[0] / g[1], g[1]) for g in groups]
     out.sort(key=lambda t: (-t[1], mpmath.mpf(t[0].real), mpmath.mpf(t[0].imag)))
     return out
-
-
-def _j_from_lambda(lam):
-    num = 256 * (lam * lam - lam + 1) ** 3
-    den = lam * lam * (lam - 1) ** 2
-    return num / den
-
-
-def j_from_cubic_roots(roots, bits: int = DEFAULT_PRECISION):
-    """Numeric j-invariant of y^2 = (x-e1)(x-e2)(x-e3)."""
-    if len(roots) != 3:
-        raise ValueError("need the three finite branch points")
-    with mpmath.workprec(bits + 32):
-        e1, e2, e3 = (mpmath.mpc(r) for r in roots)
-        lam = (e3 - e1) / (e2 - e1)
-        val = _j_from_lambda(lam)
-    with mpmath.workprec(bits):
-        return +val
-
-
-def j_from_quartic_roots(roots, bits: int = DEFAULT_PRECISION):
-    """Numeric j-invariant of y^2 = quartic via the cross-ratio of its
-    four roots (the four finite branch points)."""
-    if len(roots) != 4:
-        raise ValueError("need the four finite branch points")
-    with mpmath.workprec(bits + 32):
-        x1, x2, x3, x4 = (mpmath.mpc(r) for r in roots)
-        lam = ((x1 - x3) * (x2 - x4)) / ((x2 - x3) * (x1 - x4))
-        val = _j_from_lambda(lam)
-    with mpmath.workprec(bits):
-        return +val
 
 
 def critical_values(

@@ -166,8 +166,3 @@ def parse_poly(text: str, variables=(), dom=None) -> MultiPoly:
     node = p.parse_expr()
     p.take("EOF")
     return node
-
-
-def parse_scalar(text: str):
-    """Parse a constant expression; returns Fraction or QuadExt."""
-    return parse_poly(text, ()).constant_value()

@@ -531,9 +531,6 @@ class MultiPoly(RingOps):
         except TypeError:
             return None
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -557,9 +554,6 @@ class MultiPoly(RingOps):
             return -1
         i = self.vars.index(name)
         return max(e[i] for e in self.terms)
-
-    def num_terms(self) -> int:
-        return len(self.terms)
 
     def uses(self, name: str) -> bool:
         i = self.vars.index(name)
@@ -1234,13 +1228,6 @@ def _dense_in(terms: dict, i: int) -> list:
     return out
 
 
-def _int_quot(x: int, y: int) -> int:
-    q, r = divmod(x, y)
-    if r:
-        raise ArithmeticError("internal exact division failed")
-    return q
-
-
 def _exact_quots(xs, ys) -> list:
     """The quotients x // y over the pairs of xs and ys, each exact."""
     qr = list(map(divmod, xs, ys))
@@ -1300,8 +1287,8 @@ def _dense_resultant(a: list, b: list) -> int:
         if delta == 1:
             h = g
         elif delta > 1:
-            h = _int_quot(g**delta, h ** (delta - 1))
-    res = b[0] if da == 1 else _int_quot(b[0] ** da, h ** (da - 1))
+            h = _exact_quots([g**delta], [h ** (delta - 1)])[0]
+    res = b[0] if da == 1 else _exact_quots([b[0] ** da], [h ** (da - 1)])[0]
     return sign * scale * res
 
 
@@ -1473,39 +1460,6 @@ def solve_nullspace(rows):
     return pivots, basis
 
 
-class LinearSystem:
-    """Rows of linear forms sum(coeff*unknown) = rhs over a fraction field."""
-
-    def __init__(self, unknowns, rows, rhs=None):
-        self.unknowns = tuple(unknowns)
-        self.rows = [list(r) for r in rows]
-        if any(len(r) != len(self.unknowns) for r in self.rows):
-            raise ValueError("row width does not match unknowns")
-        self.rhs = list(rhs) if rhs is not None else None
-
-    @classmethod
-    def from_linear_polys(cls, polys, unknowns):
-        """Extract the coefficient matrix of polynomials that are linear and
-        homogeneous in the given unknown variables."""
-        rows = []
-        for p in polys:
-            row = []
-            for u in unknowns:
-                if p.degree_in(u) > 1:
-                    raise ValueError("system is not linear in the unknowns")
-                cu = p.coeff_of_power(u, 1)
-                if any(cu.uses(v) for v in unknowns):
-                    raise ValueError("system is not linear in the unknowns")
-                row.append(cu)
-            zero_part = p
-            for u in unknowns:
-                zero_part = zero_part.coeff_of_power(u, 0)
-            if zero_part:
-                raise ValueError("system is not homogeneous in the unknowns")
-            rows.append(row)
-        return cls(unknowns, rows)
-
-
 # --------------------------------------------------------------------------
 # rational functions
 
@@ -1550,10 +1504,6 @@ class RationalFunction(FieldOps):
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
-
-    @classmethod
-    def const(cls, dom, variables, c):
-        return cls(MultiPoly.const(dom, variables, c))
 
     def _wrap(self, other):
         if isinstance(other, RationalFunction):

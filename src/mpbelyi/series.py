@@ -69,15 +69,6 @@ class LaurentSeries(FieldOps):
     def const(cls, dom, value, prec: int):
         return cls(dom, {0: dom.coerce(value)}, prec)
 
-    @classmethod
-    def uniformizer(cls, dom, prec: int):
-        return cls(dom, {1: dom.one}, prec)
-
-    @classmethod
-    def from_coeff_list(cls, dom, start: int, values, prec: int):
-        """values[i] is the coefficient of t**(start+i)."""
-        return cls(dom, {start + i: dom.coerce(v) for i, v in enumerate(values)}, prec)
-
     # -- inspection -----------------------------------------------------------
 
     def valuation(self):

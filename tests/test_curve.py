@@ -458,6 +458,18 @@ def test_j_quartic_invariance_random():
         done += 1
 
 
+@PROPS
+@given(st.lists(small_q, min_size=4, max_size=4, unique=True))
+def test_j_of_a_quartic_is_legendre_j_of_its_roots_cross_ratio(roots):
+    x = MultiPoly.var(QQ, ("x",), "x")
+    f = MultiPoly.const(QQ, ("x",), 1)
+    for r in roots:
+        f = f * (x - r)
+    r1, r2, r3, r4 = roots
+    lam = (r1 - r3) * (r2 - r4) / ((r2 - r3) * (r1 - r4))
+    assert j_invariant(CurveModel(f)) == 256 * (lam**2 - lam + 1) ** 3 / (lam**2 * (lam - 1) ** 2)
+
+
 def test_j_twist_invariance():
     f = parse_poly("x^4+x^3+2", ("x",))
     g = f.scale(3)

@@ -1,5 +1,7 @@
-"""Exact Q(sqrt(105)) facts from goldens.py, recomputed.
+"""Exact facts from goldens.py, recomputed.
 
+At the second affine point A2, where u = y - (1 + a/2*x + (b/2 - a^2/8)*x^2)
+vanishes, the y-coordinate with b = ``B_VALUE`` times -2401 is ``F2``.
 The survivor factor of the resultant stage, read as a quadratic in
 t = a^2, has the discriminant 105*129357^2 and vanishes exactly at the two
 conjugate values of a^2 that ``A_SQUARED_NUM``/``A_SQUARED_DEN`` give.  The
@@ -19,6 +21,19 @@ from mpbelyi.poly import MultiPoly, QuadDomain, QQ, discriminant
 from mpbelyi.scalars import QuadExt, to_bigfloat
 
 K = QuadDomain(105)
+
+
+def test_F2_is_minus_2401_times_y_at_A2():
+    AC = ("a", "c")
+    y = parse_poly(G.Y_SERIES_AT_BASEPOINT, ("a", "b", "x"))
+    y_A2 = y.subs(
+        {
+            "a": parse_poly("a", AC),
+            "b": parse_poly(G.B_VALUE, AC),
+            "x": parse_poly(G.A2_X, AC),
+        }
+    )
+    assert y_A2.scale(-2401) == parse_poly(G.F2, AC)
 
 
 def survivor_in_t():

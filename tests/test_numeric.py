@@ -1,5 +1,5 @@
-"""Floating-point layer: roots, Newton polish, clustering, numeric j,
-and critical values of maps on hyperelliptic models."""
+"""Floating-point layer: roots, Newton polish, clustering, and critical
+values of maps on hyperelliptic models."""
 
 import random
 from fractions import Fraction
@@ -7,14 +7,12 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from mpbelyi.curve import BranchExtDomain, CurveModel, j_invariant
+from mpbelyi.curve import BranchExtDomain
 from mpbelyi.numeric import (
     cluster,
     critical_values,
     dense_coeffs,
     eval_poly,
-    j_from_cubic_roots,
-    j_from_quartic_roots,
     newton_polish_pair,
     poly_roots,
 )
@@ -113,37 +111,6 @@ class TestCluster:
         got = cluster(vals, 1e-8)
         assert len(got) == 3
         assert sum(m for _, m in got) == 60
-
-
-class TestNumericJ:
-    def test_cubic_roots_special_values(self):
-        # y^2 = x^3 - x has j = 1728; y^2 = x^3 + 1 has j = 0
-        assert close(j_from_cubic_roots([-1, 0, 1], 128), 1728, 1e-25)
-        with mpmath.workprec(160):
-            w = mpmath.exp(mpmath.mpc(0, mpmath.pi) / 3)
-            roots = [-1, w, w.conjugate()]
-        assert close(j_from_cubic_roots(roots, 128), 0, 1e-25)
-
-    def test_quartic_cross_ratio_matches_exact_j(self):
-        rng = random.Random(906)
-        for _ in range(6):
-            rs = rng.sample(range(-9, 10), 4)
-            f = MultiPoly.const(QQ, ("x",), Fraction(1))
-            x = parse_poly("x", ("x",))
-            for r in rs:
-                f = f * (x - MultiPoly.const(QQ, ("x",), Fraction(r)))
-            exact = j_invariant(CurveModel(f))
-            approx = j_from_quartic_roots(rs, 160)
-            assert close(approx, to_bigfloat(exact, 160), 1e-30)
-
-    def test_cubic_and_quartic_paths_agree(self):
-        # same curve written two ways must give one j
-        a = j_from_cubic_roots([2, 5, -3], 128)
-        # Moebius x -> 1/x sends branch points {2,5,-3,inf} to {1/2,1/5,-1/3,0}
-        with mpmath.workprec(200):
-            pts = [mpmath.mpf(1) / 2, mpmath.mpf(1) / 5, mpmath.mpf(-1) / 3, 0]
-        b = j_from_quartic_roots(pts, 128)
-        assert close(a, b, 1e-20)
 
 
 class TestCriticalValues:
