@@ -61,8 +61,6 @@ class CurveModel:
             g = poly_gcd(f, f.derivative("x"))
             if not g.is_constant():
                 raise ValueError("branch polynomial is not square-free: gcd %s" % g)
-        one = MultiPoly.const(self.dom, ("x",), self.dom.one)
-        self._one_rf = RationalFunction(one)
         self.f_rf = RationalFunction(f)
 
     # -- elements ------------------------------------------------------------
@@ -111,13 +109,8 @@ class CurveModel:
             if y0 * y0 != target:
                 raise ValueError("y0^2 does not equal f(x0)")
             return AffinePlace(self, x0, y0)
-        r = self.dom.sqrt(fx)
-        if r is not None:
-            y0 = r if branch >= 0 else -r
-            return AffinePlace(self, x0, y0)
-        ext = BranchExtDomain(self.dom, fx)
-        w = ext.w()
-        return AffinePlace(self, x0, w if branch >= 0 else -w)
+        r = _root(self.dom, fx)
+        return AffinePlace(self, x0, r if branch >= 0 else -r)
 
     def places_at_infinity(self):
         if self.degree == 3:
@@ -228,12 +221,11 @@ class _Frame:
         return self.dxdt / self.y
 
 
-def _series_domain_for(dom, needed_square):
-    """The domain in which needed_square has a square root, extending once
-    if necessary."""
-    if dom.sqrt(needed_square) is not None:
-        return dom
-    return BranchExtDomain(dom, needed_square)
+def _root(dom, square):
+    """dom's own square root of square, else the generator w of
+    ``BranchExtDomain(dom, square)``."""
+    r = dom.sqrt(square)
+    return r if r is not None else BranchExtDomain(dom, square).w()
 
 
 def _eval_poly_series(p: MultiPoly, x_ser: LaurentSeries) -> LaurentSeries:
@@ -254,12 +246,14 @@ def _eval_ratfunc_series(rf: RationalFunction, x_ser: LaurentSeries) -> LaurentS
 
 
 class _Place:
-    """A place of the curve.  edom is the field its local frames live in;
-    places are equal when they have the same type, curve and _key()."""
+    """A place of the curve.  edom, the field its local frames live in, is
+    the extension of root (a square root the place needs, see ``_root``)
+    when root is a ``BranchExt``, else the curve's field.  Places are equal
+    when they have the same type, curve and _key()."""
 
-    def __init__(self, curve: CurveModel, edom):
+    def __init__(self, curve: CurveModel, root):
         self.curve = curve
-        self.edom = edom
+        self.edom = root.ext if isinstance(root, BranchExt) else curve.dom
 
     def _key(self):
         return ()
@@ -298,7 +292,7 @@ class AffinePlace(_Place):
     kind = "affine"
 
     def __init__(self, curve: CurveModel, x0, y0):
-        super().__init__(curve, y0.ext if isinstance(y0, BranchExt) else curve.dom)
+        super().__init__(curve, y0)
         self.x0 = x0
         self.y0 = y0
 
@@ -322,7 +316,7 @@ class RamifiedAffinePlace(_Place):
 
     def __init__(self, curve: CurveModel, x0):
         fp = curve.f.derivative("x").eval_scalars({"x": x0})
-        super().__init__(curve, _series_domain_for(curve.dom, fp))
+        super().__init__(curve, _root(curve.dom, fp))
         self.x0 = x0
 
     def _key(self):
@@ -343,7 +337,7 @@ class InfinitePlace(_Place):
 
     def __init__(self, curve: CurveModel, sign: int):
         lc = curve.f.coeff_of_power("x", 4).constant_value()
-        super().__init__(curve, _series_domain_for(curve.dom, lc))
+        super().__init__(curve, _root(curve.dom, lc))
         self.sign = 1 if sign >= 0 else -1
 
     def _key(self):
@@ -367,7 +361,7 @@ class RamifiedInfinitePlace(_Place):
 
     def __init__(self, curve: CurveModel):
         lc = curve.f.coeff_of_power("x", 3).constant_value()
-        super().__init__(curve, _series_domain_for(curve.dom, lc))
+        super().__init__(curve, _root(curve.dom, lc))
 
     def frame(self, prec: int) -> _Frame:
         return self._frame({-2: 1}, prec + 8)
@@ -440,10 +434,12 @@ class Divisor:
       ("cluster_split", g, m_hi, m_lo)        each root of g carries m_hi on
                                               one branch and m_lo on the other
       ("cluster_ram", g, m)                   the branch point over each root
+
+    ``divisor_of`` builds it with no zero multiplicities.
     """
 
     def __init__(self, entries):
-        self.entries = [e for e in entries if _entry_mult_nonzero(e)]
+        self.entries = entries
 
     def degree(self) -> int:
         total = 0
@@ -451,22 +447,10 @@ class Divisor:
             total += _entry_degree(e)
         return total
 
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
     def __str__(self):
         if not self.entries:
             return "0"
         return " + ".join(_entry_str(e) for e in self.entries)
-
-
-def _entry_mult_nonzero(e) -> bool:
-    if e[0] == "cluster_split":
-        return bool(e[2]) or bool(e[3])
-    return bool(e[2])
 
 
 def _entry_degree(e) -> int:

@@ -11,19 +11,20 @@ which products over QQ and the elimination layer run on.
 
 The elimination-theory layer (gcd, resultants, fraction-free determinants,
 nullspaces) runs on these polynomials with divisions that are exact by
-construction; nothing here ever rounds.  ``resultant``, ``discriminant``
-and ``det_fraction_free`` clear the denominators of QQ input (per
-polynomial, per matrix row), run on ZZ, where every exact division is an
-integer ``//``, and scale the result back to QQ once.  A product of two
-QQ polynomials does the same: it multiplies their cleared integer forms
-and scales each output term back once, and so does a whole sum of
-products over Frac(Q[a,c]) whose denominators are one
-(``FractionFieldDomain.lincomb``, one series coefficient).  On the
-benchmark's eliminations and series expansions that removes nearly all
-``Fraction`` arithmetic.  On ZZ, resultants evaluate at integer points,
-take the subresultant PRS (G. E. Collins 1967; W. S. Brown 1971) of dense
-univariate integer polynomials and interpolate (Collins 1971), and
-determinants run Bareiss's elimination (E. H. Bareiss 1968).
+construction; nothing here ever rounds.  ``resultant`` and
+``det_fraction_free`` clear the denominators of QQ input (per polynomial,
+per matrix row), run on ZZ, where every exact division is an integer
+``//``, and scale the result back to QQ once; ``discriminant`` reaches ZZ
+through ``resultant``.  A product of two QQ polynomials does the same: it
+multiplies their cleared integer forms and scales each output term back
+once, and so does a whole sum of products over Frac(Q[a,c]) whose
+denominators are one (``FractionFieldDomain.lincomb``, one series
+coefficient).  On the benchmark's eliminations and series expansions
+that removes nearly all ``Fraction`` arithmetic.  On ZZ, resultants
+evaluate at integer points, take the subresultant PRS (G. E. Collins
+1967; W. S. Brown 1971) of dense univariate integer polynomials and
+interpolate (Collins 1971), and determinants run Bareiss's elimination
+(E. H. Bareiss 1968).
 
 One normal-form rule covers every domain: a nonzero polynomial is
 ``unit * normal form`` with the unit ``dom.normal_unit(p)``, its leading
@@ -367,9 +368,9 @@ class FractionFieldDomain(Field):
 
 
 class IntegerRing:
-    """ZZ: Python ints, the coefficient ring that QQ products,
-    ``resultant``, ``discriminant`` and ``det_fraction_free`` run on after
-    clearing the denominators of their QQ input.  It is not a field:
+    """ZZ: Python ints, the coefficient ring that QQ products, ``resultant``
+    and ``det_fraction_free`` run on after clearing the denominators of
+    their QQ input.  It is not a field:
     ``quo`` is exact integer division, None when a remainder is left, and
     the normal unit is the content with the sign of the leading
     coefficient."""
@@ -1335,25 +1336,13 @@ def _resultant(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
 
 
 def discriminant(p: MultiPoly, name: str) -> MultiPoly:
-    """res(p, dp/dname) / lc, with the classical sign.  Over QQ it runs on
-    ZZ, on P = L*p with L the lcm of the coefficient denominators, and
-    disc(P/L) = L^(2-2*deg P) * disc(P)."""
-    if p.dom is not QQ or not p.uses(name):
-        return _discriminant(p, name)
-    lp, (zp,) = _clear_denominators([p])
-    return _to_qq(_discriminant(zp, name), Fraction(1, lp ** (2 * p.degree_in(name) - 2)))
-
-
-def _discriminant(p: MultiPoly, name: str) -> MultiPoly:
+    """res(p, dp/dname) / lc, with the classical sign.  ``resultant`` runs
+    QQ input on ZZ and scales back once; the division by lc is exact."""
     d = p.degree_in(name)
-    res = resultant(p, p.derivative(name), name)
-    lc = _lc_in(p, name)
-    quot = exact_divide(res, lc)
+    quot = exact_divide(resultant(p, p.derivative(name), name), _lc_in(p, name))
     if quot is None:
         raise ArithmeticError("leading coefficient does not divide res(p, p')")
-    if (d * (d - 1) // 2) % 2:
-        quot = -quot
-    return quot
+    return -quot if (d * (d - 1) // 2) % 2 else quot
 
 
 # --------------------------------------------------------------------------
@@ -1440,16 +1429,7 @@ def solve_nullspace(rows):
             break
     free = [c for c in range(ncols) if c not in pivots]
     zero = m[0][0] - m[0][0]
-    one = None
-    for row in m:
-        for x in row:
-            if x:
-                one = x / x
-                break
-        if one is not None:
-            break
-    if one is None:
-        one = zero + 1
+    one = zero + 1
     basis = []
     for fc in free:
         vec = [zero] * ncols

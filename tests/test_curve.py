@@ -22,7 +22,6 @@ from mpbelyi.curve import (
     j_invariant,
     j_invariant_cubic,
     j_invariant_quartic,
-    local_series,
     order_at,
     residue_of_quadratic_differential,
 )

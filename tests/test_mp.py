@@ -10,7 +10,6 @@ from fractions import Fraction
 import pytest
 
 from mpbelyi.curve import (
-    AffinePlace,
     CurveModel,
     RamifiedInfinitePlace,
     divisor_of,

@@ -5,6 +5,7 @@ dense-list division, monic Euclid, Sylvester matrices.  The fast exact
 algorithms must agree with them.
 """
 
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -408,8 +409,9 @@ ac_poly = st.builds(
 )
 
 
-def is_qq(r):
-    return r.dom == QQ and all(type(c) is Fraction for c in r.terms.values())
+def lies_in(r, dom):
+    """r is over dom, each coefficient of dom's element type."""
+    return r.dom == dom and all(type(c) is type(dom.one) for c in r.terms.values())
 
 
 def at_a(p, a0):
@@ -424,7 +426,7 @@ def test_resultant_specialises_to_the_sylvester_oracle(p, q, a0):
     pc, qc = at_a(p, a0), at_a(q, a0)
     assume(pc[-1] and qc[-1])
     r = resultant(p, q, "c")
-    assert is_qq(r)
+    assert lies_in(r, QQ)
     assert r.eval_scalars({"a": a0, "c": 0}) == sylvester_resultant(pc, qc)
 
 
@@ -433,7 +435,7 @@ def test_resultant_specialises_to_the_sylvester_oracle(p, q, a0):
 def test_resultant_of_scaled_inputs(p, q, lam, mu):
     dp, dq = p.degree_in("c"), q.degree_in("c")
     r = resultant(p.scale(lam), q.scale(mu), "c")
-    assert is_qq(r)
+    assert lies_in(r, QQ)
     assert r == resultant(p, q, "c").scale(lam**dq * mu**dp)
 
 
@@ -441,7 +443,7 @@ def test_resultant_of_scaled_inputs(p, q, lam, mu):
 @given(ac_poly, ac_poly)
 def test_resultant_of_swapped_inputs(p, q):
     r, s = resultant(p, q, "c"), resultant(q, p, "c")
-    assert is_qq(r) and is_qq(s)
+    assert lies_in(r, QQ) and lies_in(s, QQ)
     assert s == r.scale((-1) ** (p.degree_in("c") * q.degree_in("c")))
 
 
@@ -450,19 +452,41 @@ def test_resultant_with_an_input_free_of_the_variable():
     p = parse_poly("3/2*a", v)
     q = parse_poly("1/3*c^2-a", v)
     r = resultant(p, q, "c")
-    assert is_qq(r) and r == parse_poly("9/4*a^2", v)
+    assert lies_in(r, QQ) and r == parse_poly("9/4*a^2", v)
     assert resultant(q, p, "c") == r
 
 
+Q105 = QuadDomain(105)
+
+
+def over_zz(p):
+    """A QQ polynomial times the lcm of its denominators, over ZZ."""
+    lcm = math.lcm(*(c.denominator for c in p.terms.values()))
+    return MultiPoly(ZZ, p.vars, {e: int(c * lcm) for e, c in p.terms.items()})
+
+
+def over_q105(p, q):
+    """p + sqrt(105)*q over Q(sqrt 105), for QQ polynomials p and q."""
+    terms = {e: QuadExt(c, 0, 105) for e, c in p.terms.items()}
+    for e, c in q.terms.items():
+        terms[e] = terms.get(e, Q105.zero) + QuadExt(0, c, 105)
+    return MultiPoly(Q105, p.vars, terms)
+
+
+# one discriminant on every ring: QQ and ZZ through the evaluation resultant,
+# Q(sqrt 105) through the MultiPoly PRS
+any_ring_ac_poly = st.one_of(
+    ac_poly, ac_poly.map(over_zz), st.builds(over_q105, ac_poly, ac_entry)
+)
+
+
 @PROPS
-@given(ac_poly, st.integers(-3, 3))
+@given(any_ring_ac_poly, st.integers(-3, 3))
 def test_discriminant_is_resultant_with_derivative_over_lc(p, a0):
     d = p.degree_in("c")
     sign = (-1) ** (d * (d - 1) // 2)
     disc = discriminant(p, "c")
-    assert is_qq(disc)
-    lc = p.coeff_of_power("c", d)
-    assert disc == exact_divide(resultant(p, p.derivative("c"), "c"), lc).scale(sign)
+    assert lies_in(disc, p.dom) and disc.vars == p.vars
     pc = at_a(p, a0)
     assume(pc[-1])
     dpc = [k * c for k, c in enumerate(pc)][1:]
@@ -474,11 +498,11 @@ def test_discriminant_is_resultant_with_derivative_over_lc(p, a0):
 def test_bareiss_row_scaling_and_cofactor_oracle(entries, r):
     m = [entries[3 * i : 3 * i + 3] for i in range(3)]
     d = det_fraction_free(m)
-    assert is_qq(d)
+    assert lies_in(d, QQ)
     assert d == det_cofactor(m)
     scaled = [[e.scale(ri) for e in row] for row, ri in zip(m, r)]
     ds = det_fraction_free(scaled)
-    assert is_qq(ds)
+    assert lies_in(ds, QQ)
     assert ds == d.scale(r[0] * r[1] * r[2])
 
 
@@ -592,7 +616,7 @@ def test_resultant_at_the_real_bidegree():
                 h[(i, j)] = Fraction(rng.choice((1, -1)) * rng.randrange(1 << 89, 1 << 90))
     f3, h = parse_poly(G.F3, AC), MultiPoly(QQ, AC, h)
     r = resultant(f3, h, "c")
-    assert is_qq(r) and all(e[1] == 0 for e in r.terms)
+    assert lies_in(r, QQ) and all(e[1] == 0 for e in r.terms)
     assert len(r.terms) == 201 and r.degree_in("a") == 400
     bits = max(max(k.numerator.bit_length(), k.denominator.bit_length()) for k in r.terms.values())
     assert bits == 1595
@@ -604,14 +628,19 @@ def test_resultant_at_the_real_bidegree():
 
 def test_nullspace_random_consistency():
     rng = random.Random(313)
-    for _ in range(25):
-        nrows, ncols = rng.randrange(1, 4), rng.randrange(1, 6)
-        m = [[rand_frac(rng) for _ in range(ncols)] for _ in range(nrows)]
-        pivots, basis = solve_nullspace(m)
-        assert len(pivots) + len(basis) == ncols
-        for vec in basis:
-            for row in m:
-                assert sum(c * w for c, w in zip(row, vec)) == 0
+    for entry in (rand_frac, lambda rng: QuadExt(rand_frac(rng), rand_frac(rng), 105)):
+        for _ in range(25):
+            nrows, ncols = rng.randrange(1, 4), rng.randrange(1, 6)
+            m = [[entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+            pivots, basis = solve_nullspace(m)
+            free = [c for c in range(ncols) if c not in pivots]
+            assert len(basis) == len(free)
+            for fc, vec in zip(free, basis):
+                # the free columns carry a unit vector, in the entries' own type
+                assert all(type(w) is type(m[0][0]) for w in vec)
+                assert [vec[c] for c in free] == [int(c == fc) for c in free]
+                for row in m:
+                    assert not sum(c * w for c, w in zip(row, vec))
 
 
 def test_nullspace_rational_function_entries():

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from mpbelyi.parse import parse_poly
 from mpbelyi.poly import FractionFieldDomain, MultiPoly, QQ, QuadDomain, RationalFunction
 from mpbelyi.series import LaurentSeries, MAX_TRUNCATION, SeriesPrecisionError
 from mpbelyi.scalars import QuadExt
