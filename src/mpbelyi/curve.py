@@ -38,7 +38,9 @@ from .poly import (
 from .scalars import BranchExt, FieldOps
 from .series import LaurentSeries, MAX_TRUNCATION, SeriesPrecisionError
 
-_PREC_LADDER = (10, 18, 32, MAX_TRUNCATION)
+# Starts at 1: every rung is exact (see ``_on_ladder``), and most orders and
+# residues need a few terms, ord(y +- x^2) at infinity about three.
+_PREC_LADDER = (1, 2, 4, 10, 18, 32, MAX_TRUNCATION)
 
 
 # --------------------------------------------------------------------------
@@ -385,7 +387,14 @@ def local_series(elem: FunctionFieldElement, place, prec: int) -> LaurentSeries:
 def _on_ladder(place, what: str, read):
     """The first value of read(prec) up the precision ladder that is not None.
     None, ZeroDivisionError or SeriesPrecisionError leaves a rung undecided;
-    when every rung is, the ArithmeticError says what happened on each."""
+    when every rung is, the ArithmeticError says what happened on each.
+
+    The ladder starts at prec 1 because no rung can answer wrongly: a
+    coefficient below a series' prec is exact, so a valuation or a t^-2
+    coefficient read on a low rung is the one a higher rung reads, and a
+    rung too low to see it is undecided.  A frame's cost grows fast with
+    prec over Frac(Q[a,c]), so the lowest rung that decides is the
+    cheapest."""
     failed = []
     for prec in _PREC_LADDER:
         try:

@@ -331,7 +331,7 @@ class FractionFieldDomain(Field):
                     s = acc.get(k)
                     acc[k] = a * b if s is None else s + a * b
         out = {k: Fraction(v, D) for k, v in acc.items() if v}
-        num = MultiPoly(QQ, self.inner_vars, _unpack_terms(out, width, len(e0)))
+        num = MultiPoly._nonzero(QQ, self.inner_vars, _unpack_terms(out, width, len(e0)))
         return RationalFunction._reduced(num, self.one.den)
 
     def coerce(self, x):
@@ -489,6 +489,16 @@ class MultiPoly(RingOps):
         self.terms = {e: c for e, c in terms.items() if not dom.is_zero(c)}
 
     # -- constructors ----------------------------------------------------
+
+    @classmethod
+    def _nonzero(cls, dom, variables: tuple, terms: dict) -> "MultiPoly":
+        """A polynomial from terms whose coefficients are all nonzero, so
+        no term is tested for zero again."""
+        out = object.__new__(cls)
+        out.dom = dom
+        out.vars = variables
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls, dom, variables):
@@ -1103,7 +1113,7 @@ def _clear_denominators(polys):
     of all their coefficient denominators."""
     L = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
     return L, [
-        MultiPoly(ZZ, p.vars, {e: c.numerator * (L // c.denominator) for e, c in p.terms.items()})
+        MultiPoly._nonzero(ZZ, p.vars, {e: c.numerator * (L // c.denominator) for e, c in p.terms.items()})
         for p in polys
     ]
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mpbelyi import goldens as G
 from mpbelyi.curve import (
     _PREC_LADDER,
     AffinePlace,
@@ -22,6 +23,7 @@ from mpbelyi.curve import (
     j_invariant,
     j_invariant_cubic,
     j_invariant_quartic,
+    local_series,
     order_at,
     residue_of_quadratic_differential,
 )
@@ -290,7 +292,7 @@ def test_ladder_failure_names_every_rung():
         residue_of_quadratic_differential(1 / t70, place)
     for err, what in ((order_err, "vanished to the truncation"), (residue_err, "ZeroDivisionError")):
         msg = str(err.value)
-        assert msg.count(what) == len(_PREC_LADDER) == 4
+        assert msg.count(what) == len(_PREC_LADDER) == 7
         for prec in _PREC_LADDER:
             assert "precision %d: %s" % (prec, what) in msg
 
@@ -306,6 +308,61 @@ def test_orders_on_quartic_fixture():
     r = y * (x**2).inverse()
     assert order_at(r - 1, plus) >= 1
     assert order_at(r + 1, minus) >= 1
+
+
+# -- the precision ladder --------------------------------------------------------
+
+
+def ladder_places():
+    """Every place type: on the cubic fixture two affine points, the branch
+    point over -1 and the ramified infinity; on the quartic fixture a point
+    and both infinite places; on the certification cubic over Q(sqrt(105))
+    the point over 0, whose y needs a ``BranchExt``, and its infinity."""
+    cubic, quartic = curve_of(E_CUBIC), curve_of(E_QUARTIC)
+    g = "(%d*sqrt(%d))" % (G.CERT_GAMMA_COEFF, G.CERT_FIELD_DISC)
+    cert = curve_of(G.CERT_MODEL_F.replace("g", g), QuadDomain(G.CERT_FIELD_DISC))
+    return [
+        cubic.point(0), cubic.point(2, branch=-1), cubic.point(-1), *cubic.places_at_infinity(),
+        quartic.point(0), *quartic.places_at_infinity(),
+        cert.point(0), *cert.places_at_infinity(),
+    ]
+
+
+LADDER_PLACES = ladder_places()
+poly_coeffs = st.lists(small_q, max_size=4)
+
+
+def uniformizing_function(place):
+    """x - x0 at an affine place, 1/x at infinity: the uniformizer t itself
+    at an unramified place, of order 2 at a ramified one."""
+    c = place.curve
+    return c.x() - place.x0 if place.kind.startswith("affine") else c.x().inverse()
+
+
+@pytest.mark.parametrize("place", LADDER_PLACES, ids=str)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(p=poly_coeffs, q=poly_coeffs, n=st.integers(0, 5), k=st.integers(-3, 3))
+def test_low_rungs_read_what_a_frame_of_32_reads(place, p, q, n, k):
+    """The order and the residue of (y*Q - T + h^n*P) * h^k, with h the
+    uniformizing function, are what a frame of 32 reads.  Where t = h over
+    the curve's own field, T is y*Q's expansion below t^n, so the leading
+    terms cancel and the low rungs are undecided."""
+    c = place.curve
+    P, Q = (MultiPoly.from_univariate(c.dom, "x", v) for v in (p, q))
+    h = uniformizing_function(place)
+    elem = c.element(P) * h**n + c.element(None, Q)
+    if Q and place.kind in ("affine", "infinite") and place.edom is c.dom:
+        yq = local_series(c.element(None, Q), place, 32)
+        for j in range(min(yq.valuation(), n), n):
+            elem = elem - h**j * yq.coefficient_of(j)
+    elem = elem * h**k
+    assume(elem)
+    frame = place.frame(32)
+    series = local_series(elem, place, 32)
+    w = frame.omega_over_dt()
+    assume(series.valuation() is not None)
+    assert order_at(elem, place) == series.valuation()
+    assert residue_of_quadratic_differential(elem, place) == (series * w * w).coefficient_of(-2)
 
 
 # -- divisors ----------------------------------------------------------------------

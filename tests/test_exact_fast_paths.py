@@ -9,7 +9,8 @@ Each shortcut must give what the general path gives:
 - coercing 0 and 1 into Frac(Q[a,c]) returns the domain's own elements,
   and any other constant is that constant over one;
 - ``lincomb``, which runs on integers over Frac(Q[a,c]) when every
-  denominator is one, equals the schoolbook sum of products, and series
+  denominator is one, equals the schoolbook sum of products with no zero
+  coefficient left where weights cancel, and series
   ``*``, ``inverse`` and ``sqrt``, one ``lincomb`` per coefficient, equal
   schoolbook series arithmetic; a one-term series inverts and roots, and
   a product with a one-term factor on either side shifts and scales, with
@@ -280,6 +281,18 @@ def test_lincomb_of_zero_weights_and_of_nothing_is_zero(field, data):
     assert same_element(dom, dom.lincomb(items), dom.zero)
     assert same_element(dom, dom.lincomb([]), dom.zero)
     assert same_element(dom, dom.lincomb(iter(())), dom.zero)
+
+
+@PROPS
+@given(items=lincomb_items(frac_unit), keep=st.integers(0, 5))
+def test_lincomb_over_one_keeps_no_zero_coefficient_when_weights_cancel(items, keep):
+    # the integer kernel builds its numerator without a second zero test:
+    # the items past keep come back with opposite weights and factors swapped,
+    # so whole terms cancel inside its sums
+    cancel = items + [(-w, F.one if y is None else y, x) for w, x, y in items[keep:]]
+    r = F.lincomb(cancel)
+    assert all(r.num.terms.values())
+    assert same_element(F, r, schoolbook_lincomb(F, cancel))
 
 
 def test_lincomb_with_fraction_weights_over_one():

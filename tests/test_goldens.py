@@ -7,6 +7,11 @@ t = a^2, has the discriminant 105*129357^2 and vanishes exactly at the two
 conjugate values of a^2 that ``A_SQUARED_NUM``/``A_SQUARED_DEN`` give.  The
 certification cubic has an exact j in Q(sqrt(105)) for each sign of g, the
 two values conjugate, and each near its frozen decimal approximation.
+
+The derivation's first values on the ansatz quartic with b = ``B_VALUE``
+over Frac(Q[a,c]): u vanishes to order 3 at A1 = (0, 1) and simply at
+A2, and the residues of u*omega^2 at the places over infinity are 49/24
+(y ~ +x^2) and 1/24 (y ~ -x^2), in the ratio ``RESIDUE_RATIO``.
 """
 
 from fractions import Fraction
@@ -15,16 +20,17 @@ import mpmath
 import pytest
 
 from mpbelyi import goldens as G
-from mpbelyi.curve import CurveModel, j_invariant
+from mpbelyi.curve import CurveModel, j_invariant, order_at, residue_of_quadratic_differential
 from mpbelyi.parse import parse_poly
-from mpbelyi.poly import MultiPoly, QuadDomain, QQ, discriminant
+from mpbelyi.poly import FractionFieldDomain, MultiPoly, QuadDomain, QQ, discriminant
 from mpbelyi.scalars import QuadExt, to_bigfloat
 
 K = QuadDomain(105)
+AC = ("a", "c")
+FRAC = FractionFieldDomain(QQ, AC)
 
 
 def test_F2_is_minus_2401_times_y_at_A2():
-    AC = ("a", "c")
     y = parse_poly(G.Y_SERIES_AT_BASEPOINT, ("a", "b", "x"))
     y_A2 = y.subs(
         {
@@ -34,6 +40,32 @@ def test_F2_is_minus_2401_times_y_at_A2():
         }
     )
     assert y_A2.scale(-2401) == parse_poly(G.F2, AC)
+
+
+def in_x_over_frac(text):
+    """A polynomial in x, a and c (with b = ``B_VALUE``) as one in x over
+    Frac(Q[a,c])."""
+    p = parse_poly(text.replace("b", "(%s)" % G.B_VALUE), AC + ("x",))
+    by_x = {}
+    for (ea, ec, ex), k in p.terms.items():
+        by_x.setdefault((ex,), {})[(ea, ec)] = k
+    return MultiPoly(FRAC, ("x",), {e: FRAC.coerce(MultiPoly(QQ, AC, t)) for e, t in by_x.items()})
+
+
+def test_u_orders_at_A1_and_A2_and_residues_at_infinity():
+    curve = CurveModel(in_x_over_frac("x^4+c*x^3+b*x^2+a*x+1"))
+    y_A1 = in_x_over_frac(G.Y_SERIES_AT_BASEPOINT)
+    u = curve.y() - curve.element(y_A1)
+    x_A2 = FRAC.coerce(parse_poly(G.A2_X, AC))
+    A2 = curve.point(x_A2, y0=y_A1.eval_scalars({"x": x_A2}))
+    assert order_at(u, curve.point(0)) == 3
+    assert order_at(u, A2) == 1
+    plus, minus = curve.places_at_infinity()
+    res_plus = residue_of_quadratic_differential(u, plus)
+    res_minus = residue_of_quadratic_differential(u, minus)
+    assert (str(plus), str(minus)) == ("(x=inf, branch +)", "(x=inf, branch -)")
+    assert res_plus == FRAC.coerce(Fraction(49, 24)) and res_minus == FRAC.coerce(Fraction(1, 24))
+    assert res_plus == res_minus * G.RESIDUE_RATIO
 
 
 def survivor_in_t():
