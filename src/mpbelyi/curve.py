@@ -1,12 +1,16 @@
 """Genus-one hyperelliptic models y^2 = f(x) and their local geometry.
 
 A curve is y^2 = f(x) with f square-free of degree 3 or 4 over an exact
-coefficient field.  Functions on the curve are P(x) + y*Q(x) with rational
-P, Q.  The module provides places (affine points, branch points, places at
-infinity), exact local Laurent expansions in a uniformizer, orders of
-vanishing, divisors grouped by conjugacy cluster, residues of quadratic
-differentials, and exact j-invariants (one formula, from the invariants of
-the binary quartic; a cubic is a quartic with no x^4 term).
+coefficient field K.  ``CurveModel`` is also its function field K(x)(y):
+the ``poly.BranchExtDomain`` over Frac(K[x]) with radicand f and generator
+w = y.  Functions on the curve, P(x) + y*Q(x) with rational P and Q, are
+its elements ``FunctionFieldElement``, a ``scalars.BranchExt``, so their
+arithmetic is the extension's.  The module provides places (affine points,
+branch points, places at infinity), exact local Laurent expansions in a
+uniformizer, orders of vanishing, divisors grouped by conjugacy cluster,
+residues of quadratic differentials, and exact j-invariants (one formula,
+from the invariants of the binary quartic; a cubic is a quartic with no
+x^4 term).
 
 The four place types share one base, ``_Place``: it holds the curve and the
 field the local frames live in, compares places by type, curve and the
@@ -14,10 +18,9 @@ place's own data, and builds every frame by one recipe.  x(t) is given by
 its exact terms (x0 + t, x0 + t^2, 1/t or 1/t^2), dx/dt is their term-wise
 derivative, and y(t) is the square root of f(x(t)) that the place selects.
 
-Points whose y-coordinate lives outside the coefficient field get their
-frames over the quadratic extension ``poly.BranchExtDomain`` of that field,
-with y as its generator w (elements ``scalars.BranchExt``); computed orders
-and residues are exact there too.
+A place that needs a square root outside K (see ``_root``) gets its
+frames over the ``poly.BranchExtDomain`` of K that holds it; computed
+orders and residues are exact there too.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .poly import (
     poly_gcd,
     squarefree_decomposition,
 )
-from .scalars import BranchExt, FieldOps
+from .scalars import BranchExt
 from .series import LaurentSeries, MAX_TRUNCATION, SeriesPrecisionError
 
 # Starts at 1: every rung is exact (see ``_on_ladder``), and most orders and
@@ -47,8 +50,42 @@ _PREC_LADDER = (1, 2, 4, 10, 18, 32, MAX_TRUNCATION)
 # the curve
 
 
-class CurveModel:
-    """y^2 = f(x), f square-free of degree 3 or 4 with nonzero discriminant."""
+class FunctionFieldElement(BranchExt):
+    """P(x) + y*Q(x) on a fixed curve: the ``BranchExt`` of its
+    ``CurveModel``, so ``p``, ``q`` and ``curve`` are ``a``, ``b`` and
+    ``ext``, with P and Q reduced rational functions."""
+
+    __slots__ = ()
+
+    def __init__(self, curve: CurveModel, p: RationalFunction, q: RationalFunction):
+        super().__init__(p, q, curve)
+
+    p, q, curve = BranchExt.a, BranchExt.b, BranchExt.ext
+
+    def deriv_over_omega(self) -> "FunctionFieldElement":
+        """The function (d self)/omega for omega = dx/y: equals
+        (f*Q' + f'*Q/2) + y*P'."""
+        curve = self.curve
+        fp = RationalFunction(curve.f.derivative("x"))
+        new_p = curve.radicand * self.q.derivative("x") + fp * self.q * Fraction(1, 2)
+        return self._trusted(new_p, self.p.derivative("x"), curve)
+
+    def __str__(self):
+        if not self.q:
+            return str(self.p)
+        return "(%s) + y*(%s)" % (self.p, self.q)
+
+    def __repr__(self):
+        return "FunctionFieldElement(%s)" % self
+
+
+class CurveModel(BranchExtDomain):
+    """y^2 = f(x), f square-free of degree 3 or 4 with nonzero discriminant
+    over the field dom.  As a domain it is the function field: the
+    ``BranchExtDomain`` over Frac(dom[x]) with radicand f, whose generator
+    w is y.  Two models of the same f are equal, and their elements mix."""
+
+    element_class = FunctionFieldElement
 
     def __init__(self, f: MultiPoly):
         if f.vars != ("x",):
@@ -63,35 +100,28 @@ class CurveModel:
             g = poly_gcd(f, f.derivative("x"))
             if not g.is_constant():
                 raise ValueError("branch polynomial is not square-free: gcd %s" % g)
-        self.f_rf = RationalFunction(f)
+        super().__init__(FractionFieldDomain(f.dom, ("x",)), RationalFunction(f))
+        self.name = "%s(y), y^2 = %s" % (self.base.name, f)
+
+    def __hash__(self):
+        # the radicand, a RationalFunction, does not hash; equal curves have
+        # equal bases and equal monomials in f
+        return hash((self.base, frozenset(self.f.terms)))
 
     # -- elements ------------------------------------------------------------
 
-    def element(self, p, q=None) -> "FunctionFieldElement":
-        """p + y*q.  A RationalFunction or MultiPoly in x is a function of x;
-        anything else is a scalar coerced into the coefficient field, which
-        over Frac(K[a, ...]) includes polynomials and rational functions in
-        the parameters.  Raises TypeError for a value that is neither."""
+    def element(self, p, q=None) -> FunctionFieldElement:
+        """p + y*q, each part coerced into Frac(dom[x]) (None is zero): a
+        polynomial or rational function in x, or a scalar of dom, which over
+        Frac(K[a, ...]) includes polynomials and rational functions in the
+        parameters.  Raises TypeError for a value that is neither."""
+        p, q = (self.base.coerce(0 if v is None else v) for v in (p, q))
+        return FunctionFieldElement(self, p, q)
 
-        def lift(v):
-            if v is None:
-                return RationalFunction(MultiPoly.zero(self.dom, ("x",)))
-            if isinstance(v, RationalFunction) and self._in_x_ring(v.num):
-                return v
-            if isinstance(v, MultiPoly) and self._in_x_ring(v):
-                return RationalFunction(v)
-            return RationalFunction(MultiPoly.const(self.dom, ("x",), v))
-
-        return FunctionFieldElement(self, lift(p), lift(q))
-
-    def _in_x_ring(self, p: MultiPoly) -> bool:
-        return p.vars == ("x",) and p.dom == self.dom
-
-    def x(self) -> "FunctionFieldElement":
+    def x(self) -> FunctionFieldElement:
         return self.element(MultiPoly.var(self.dom, ("x",), "x"))
 
-    def y(self) -> "FunctionFieldElement":
-        return self.element(None, self.dom.one)
+    y = BranchExtDomain.w
 
     def f_at(self, x0):
         return self.f.eval_scalars({"x": self.dom.coerce(x0)})
@@ -118,90 +148,6 @@ class CurveModel:
         if self.degree == 3:
             return [RamifiedInfinitePlace(self)]
         return [InfinitePlace(self, 1), InfinitePlace(self, -1)]
-
-
-class FunctionFieldElement(FieldOps):
-    """P(x) + y*Q(x) on a fixed curve; P, Q reduced rational functions."""
-
-    __slots__ = ("curve", "p", "q")
-
-    def __init__(self, curve: CurveModel, p: RationalFunction, q: RationalFunction):
-        self.curve = curve
-        self.p = p
-        self.q = q
-
-    def _wrap(self, other):
-        if isinstance(other, FunctionFieldElement):
-            if other.curve is not self.curve and other.curve.f != self.curve.f:
-                raise ValueError("elements live on different curves")
-            return other
-        try:
-            return self.curve.element(other)
-        except TypeError:
-            return None
-
-    def __bool__(self):
-        return bool(self.p) or bool(self.q)
-
-    def __add__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return FunctionFieldElement(self.curve, self.p + o.p, self.q + o.q)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FunctionFieldElement(self.curve, -self.p, -self.q)
-
-    def __mul__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        f = self.curve.f_rf
-        return FunctionFieldElement(
-            self.curve,
-            self.p * o.p + f * self.q * o.q,
-            self.p * o.q + self.q * o.p,
-        )
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "FunctionFieldElement":
-        return FunctionFieldElement(self.curve, self.p, -self.q)
-
-    def norm(self) -> RationalFunction:
-        return self.p * self.p - self.curve.f_rf * self.q * self.q
-
-    def inverse(self) -> "FunctionFieldElement":
-        n = self.norm()
-        if not n:
-            raise ZeroDivisionError("inverting the zero function")
-        return FunctionFieldElement(self.curve, self.p / n, -self.q / n)
-
-    def __eq__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return self.p == o.p and self.q == o.q
-
-    def deriv_over_omega(self) -> "FunctionFieldElement":
-        """The function (d self)/omega for omega = dx/y: equals
-        (f*Q' + f'*Q/2) + y*P'."""
-        f = self.curve.f_rf
-        fp = RationalFunction(self.curve.f.derivative("x"))
-        half = Fraction(1, 2)
-        new_p = f * self.q.derivative("x") + fp * self.q * half
-        new_q = self.p.derivative("x")
-        return FunctionFieldElement(self.curve, new_p, new_q)
-
-    def __str__(self):
-        if not self.q:
-            return str(self.p)
-        return "(%s) + y*(%s)" % (self.p, self.q)
-
-    def __repr__(self):
-        return "FunctionFieldElement(%s)" % self
 
 
 # --------------------------------------------------------------------------
@@ -267,7 +213,7 @@ class _Place:
     def __eq__(self, other):
         return (
             type(other) is type(self)
-            and self.curve.f == other.curve.f
+            and self.curve == other.curve
             and self._key() == other._key()
         )
 

@@ -1,7 +1,7 @@
 """Recursive-descent parser for exact polynomial expressions.
 
 Accepted syntax: integer and rational literals (``p/q``), ``sqrt(d)`` for a
-square-free positive integer d, declared variable names, the operators
+square-free integer d > 1, declared variable names, the operators
 ``+ - * ^``, and parentheses.  Multiplication is always explicit: ``2*x``,
 never ``2x``.  ``/`` appears only inside rational literals.
 
@@ -57,11 +57,12 @@ def _tokenize(text: str):
 
 
 def _scan_surds(toks):
-    ds = set()
+    """{d: position of the first sqrt(d)} over the surds in toks."""
+    ds = {}
     for k, (kind, val, pos) in enumerate(toks):
         if kind == "NAME" and val == "sqrt":
             if k + 2 < len(toks) and toks[k + 1][0] == "(" and toks[k + 2][0] == "INT":
-                ds.add(toks[k + 2][1])
+                ds.setdefault(toks[k + 2][1], pos)
     return ds
 
 
@@ -161,7 +162,12 @@ def parse_poly(text: str, variables=(), dom=None) -> MultiPoly:
         ds = _scan_surds(toks)
         if len(ds) > 1:
             raise ParseError("mixed surds %s in one expression" % sorted(ds), 0)
-        dom = QuadDomain(ds.pop()) if ds else QQ
+        dom = QQ
+        for d, pos in ds.items():
+            try:
+                dom = QuadDomain(d)
+            except ValueError as exc:
+                raise ParseError(str(exc), pos) from None
     p = _Parser(toks, dom, variables)
     node = p.parse_expr()
     p.take("EOF")

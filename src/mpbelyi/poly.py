@@ -5,8 +5,10 @@ ordered graded-lex for rendering and division.  Coefficient domains are
 instances of ``Field``: QQ (Fraction), FractionFieldDomain (coefficients
 that are themselves rational functions, used for series with symbolic
 parameters) and the quadratic extensions BranchExtDomain (base(w), elements
-``scalars.BranchExt``), of which QuadDomain(d), Q(sqrt(d)) with elements
-``scalars.QuadExt``, is the one over QQ.  The one ring is ZZ (Python ints),
+``scalars.BranchExt``).  QuadDomain(d), Q(sqrt(d)) with elements
+``scalars.QuadExt``, is the one over QQ, and ``curve.CurveModel``, the
+function field of y^2 = f(x) with elements ``curve.FunctionFieldElement``,
+the one over Frac(K[x]) with w = y.  The one ring is ZZ (Python ints),
 which products over QQ and the elimination layer run on.
 
 The elimination-theory layer (gcd, resultants, fraction-free determinants,
@@ -248,8 +250,9 @@ class BranchExtDomain(Field):
 
 class QuadDomain(BranchExtDomain):
     """Q(sqrt(d)): the branch extension of QQ with radicand d, elements
-    ``QuadExt``.  There is one instance per d, so the elements of one field
-    share their ``ext``."""
+    ``QuadExt``.  d must be a square-free integer > 1 (else ValueError).
+    There is one instance per d, so the elements of one field share their
+    ``ext``."""
 
     # a coefficient operation is a few integer products and one gcd (QuadExt),
     # so making every remainder monic is cheap: univariate gcds run monic Euclid
@@ -258,6 +261,10 @@ class QuadDomain(BranchExtDomain):
     _by_d: dict = {}
 
     def __new__(cls, d: int):
+        # d = 4 has zero divisors, (w-2)(w+2) = 0; d = 12 is a second Q(sqrt(3))
+        if not (isinstance(d, int) and d > 1
+                and all(d % (p * p) for p in range(2, math.isqrt(d) + 1))):
+            raise ValueError("d must be a square-free integer > 1, got %r" % (d,))
         self = cls._by_d.get(d)
         if self is None:
             self = cls._by_d[d] = super().__new__(cls)
@@ -335,14 +342,14 @@ class FractionFieldDomain(Field):
         return RationalFunction._reduced(num, self.one.den)
 
     def coerce(self, x):
+        # a polynomial or rational function of another ring may be a scalar
+        # of inner_dom: one in a, c is, when inner_dom is Frac(Q[a,c])
         if isinstance(x, RationalFunction):
-            if x.num.vars != self.inner_vars or x.num.dom != self.inner_dom:
-                raise TypeError("mismatched fraction field")
-            return x
-        if isinstance(x, MultiPoly):
-            if x.vars != self.inner_vars or x.dom != self.inner_dom:
-                raise TypeError("mismatched fraction field")
-            return RationalFunction(x)
+            if x.num.vars == self.inner_vars and x.num.dom == self.inner_dom:
+                return x
+        elif isinstance(x, MultiPoly):
+            if x.vars == self.inner_vars and x.dom == self.inner_dom:
+                return RationalFunction(x)
         c = self.inner_dom.coerce(x)
         if self.inner_dom.is_zero(c):
             return self.zero

@@ -6,24 +6,27 @@ stdlib ``fractions.Fraction`` (already gcd-reduced with positive
 denominator).  ``BranchExt`` is the one quadratic-extension element, a + b*w
 over any base field, with w^2 a fixed non-square of that field; its domain
 is ``poly.BranchExtDomain``.  ``QuadExt`` is the ``BranchExt`` over QQ with
-w = sqrt(d) for a square-free d > 1 (production runs use d = 105).  It holds
-(n + s*sqrt(d))/q on integers with q > 0 and gcd(n, s, q) = 1, the standard
-number-field representation (H. Cohen, "A Course in Computational Algebraic
-Number Theory", 1993, sec. 4.2; W. Hart's ANTIC, ``qnf_elem``): the form is
-canonical, so ``==`` and ``hash`` compare integers, and every sum, product
-and inverse costs one integer gcd instead of about ten inside ``Fraction``.
-Its rational parts ``a``/``rat`` and ``b``/``surd`` are read-only Fraction
-views.  The generic ``BranchExt`` arithmetic serves every other base, such
-as a tower over Q(sqrt(d)), whose parts are ``QuadExt``.  ``quadext_sqrt`` is
-the one square root in any extension.  ``to_bigfloat`` is the one
-conversion from exact scalars to ``mpmath`` numbers, at an explicitly
-requested binary precision (default 128 bits).
+w = sqrt(d) for a square-free d > 1, which ``poly.QuadDomain`` checks
+(production runs use d = 105).  It holds (n + s*sqrt(d))/q on integers with
+q > 0 and gcd(n, s, q) = 1, the standard number-field representation (H.
+Cohen, "A Course in Computational Algebraic Number Theory", 1993, sec. 4.2;
+W. Hart's ANTIC, ``qnf_elem``): the form is canonical, so ``==`` and
+``hash`` compare integers, and every sum, product and inverse costs one
+integer gcd instead of about ten inside ``Fraction``.  Its rational parts
+``a``/``rat`` and ``b``/``surd`` are read-only Fraction views.  The generic
+``BranchExt`` arithmetic serves every other base: a tower over Q(sqrt(d)),
+whose parts are ``QuadExt``, and the function field of a curve y^2 = f(x),
+the extension of Frac(K[x]) with w = y, whose elements P(x) + y*Q(x) are
+``curve.FunctionFieldElement``.  ``quadext_sqrt`` is the one square root in
+any extension.  ``to_bigfloat`` is the one conversion from exact scalars to
+``mpmath`` numbers, at an explicitly requested binary precision (default
+128 bits).
 
 ``RingOps`` writes ``-``, its reflection and integer ``**`` once, and
 ``FieldOps`` adds ``/`` and its reflection, for the package's exact element
-types: ``BranchExt`` (and ``QuadExt``), ``poly.MultiPoly`` (a ring),
-``poly.RationalFunction``, ``series.LaurentSeries`` and
-``curve.FunctionFieldElement``.  A type provides ``_wrap`` (the other
+types: ``BranchExt`` (with ``QuadExt`` and ``curve.FunctionFieldElement``),
+``poly.MultiPoly`` (a ring), ``poly.RationalFunction`` and
+``series.LaurentSeries``.  A type provides ``_wrap`` (the other
 operand as an element of its own ring, or None), ``+``, unary ``-``, ``*``
 and, on a field, ``inverse()``.
 """
@@ -36,17 +39,6 @@ from fractions import Fraction
 import mpmath
 
 DEFAULT_PRECISION = 128
-
-
-def _is_squarefree(n: int) -> bool:
-    if n % 4 == 0:
-        return False
-    p = 3
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        p += 2
-    return True
 
 
 class RingOps:
@@ -252,8 +244,6 @@ class QuadExt(BranchExt):
     __slots__ = ("n", "s", "q")
 
     def __init__(self, rat, surd=0, d: int = 105):
-        if not (isinstance(d, int) and d > 1 and _is_squarefree(d)):
-            raise ValueError("d must be a square-free integer > 1, got %r" % (d,))
         for part in (rat, surd):
             if not isinstance(part, (int, Fraction)):
                 raise TypeError("QuadExt parts must be int or Fraction, got %r" % (part,))

@@ -1,6 +1,7 @@
 """Geometry layer tests: branch extensions, local frames, orders, divisors,
 and j-invariants, anchored on small fixture curves."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -131,6 +132,21 @@ def test_curve_rejects_bad_degrees_and_singular_models():
         curve_of("x^3-3*x+2")
     with pytest.raises(ValueError):
         curve_of("(x^2-1)^2")
+
+
+def test_models_of_one_f_share_their_function_field():
+    c1, c2 = curve_of(E_CUBIC), curve_of(E_CUBIC)
+    assert isinstance(c1, BranchExtDomain) and c1 is not c2
+    assert c1 == c2 and hash(c1) == hash(c2)
+    assert c1.y() == c1.w() and c1.y() * c1.y() == c1.x() ** 3 + 1
+    s = c1.x() + c2.y()
+    assert s == c2.x() + c1.y() and s.curve is c1
+    assert c1.point(0) == c2.point(0)
+    other = curve_of("x^3+2")
+    assert c1 != other and c1.y() != other.y()
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(ValueError, match="mixed extensions"):
+            op(c1.y(), other.x() + other.y())
 
 
 def test_point_validation():

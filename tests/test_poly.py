@@ -872,3 +872,8 @@ def test_parse_errors_report_position():
         parse_poly("x$2", ("x",))
     with pytest.raises(ParseError):
         parse_poly("(x+1", ("x",))
+    # sqrt(d) needs a square-free d > 1: the error points at the sqrt
+    for text in ("sqrt(4)*x", "x+sqrt(1)", "sqrt(0)"):
+        with pytest.raises(ParseError) as e:
+            parse_poly(text, ("x",))
+        assert e.value.pos == text.index("sqrt")

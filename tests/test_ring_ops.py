@@ -181,6 +181,9 @@ def test_rational_function_inverse_is_in_normal_form(name, data):
 # the only copy kept: one normalisation of num**n/den**n, not one per product
 OVERRIDES = {(RationalFunction, "__pow__")}
 DERIVED = ("__sub__", "__rsub__", "__truediv__", "__rtruediv__", "__pow__")
+# the ring of a BranchExt, which its subclasses inherit
+BRANCH_RING = ("__add__", "__radd__", "__neg__", "__mul__", "__rmul__", "inverse",
+               "conj", "norm", "__eq__", "__bool__")
 
 
 def test_derived_operators_are_written_once():
@@ -190,7 +193,10 @@ def test_derived_operators_are_written_once():
         assert own <= OVERRIDES, own - OVERRIDES
         assert issubclass(cls, FieldOps) == (cls is not MultiPoly)
         assert issubclass(cls, RingOps)
-        # QuadExt is the BranchExt over QQ: it inherits _wrap, never copies it
-        owner = BranchExt if cls is QuadExt else cls
+        # QuadExt and FunctionFieldElement are BranchExts: they inherit _wrap,
+        # never copy it
+        owner = BranchExt if cls in (QuadExt, FunctionFieldElement) else cls
         assert "_wrap" in vars(owner) and "_lift" not in vars(cls)
-    assert "_wrap" not in vars(QuadExt)
+    assert "_wrap" not in vars(QuadExt) and "_wrap" not in vars(FunctionFieldElement)
+    # the function field is the BranchExt over Frac(Q[x]): no ring method of its own
+    assert not set(BRANCH_RING) & set(vars(FunctionFieldElement))

@@ -134,7 +134,11 @@ def test_mixed_surds_rejected():
 
 
 def test_non_squarefree_d_rejected():
+    # QuadDomain checks d, so no field with zero divisors such as
+    # (w - 2)(w + 2) = 0 over d = 4 is ever built
     for bad in (4, 12, 18, 0, 1, -5):
+        with pytest.raises(ValueError):
+            QuadDomain(bad)
         with pytest.raises(ValueError):
             QuadExt(1, 1, bad)
 
