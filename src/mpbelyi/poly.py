@@ -78,7 +78,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from itertools import repeat
+from itertools import count, repeat
 from operator import add, itemgetter, sub
 
 from .scalars import BranchExt, FieldOps, QuadExt, RingOps, quadext_sqrt, rational_sqrt_exact
@@ -115,6 +115,10 @@ class Field:
     def div(self, x, y):
         return x / y
 
+    def inv(self, x):
+        """1/x for a nonzero element x: one inversion."""
+        return x.inverse()
+
     def quo(self, x, y):
         """x/y when y divides x, else None; in a field y always does."""
         return x / y
@@ -131,7 +135,7 @@ class Field:
     def divide_terms(self, terms: dict, u) -> dict:
         """The terms divided by the unit u: one inversion, then a product
         per term."""
-        inv = self.div(self.one, u)
+        inv = self.inv(u)
         return {e: k * inv for e, k in terms.items()}
 
     def lincomb(self, items):
@@ -178,6 +182,9 @@ class RationalDomain(Field):
         if isinstance(x, BranchExt) and isinstance(x.ext.base, RationalDomain) and not x.b:
             return x.a
         raise TypeError("cannot coerce %r into QQ" % (x,))
+
+    def inv(self, x):
+        return self.one / x
 
     def content_gcd(self, x, y):
         # gcd of two rationals: gcd of numerators over lcm of denominators
@@ -1162,6 +1169,19 @@ def resultant(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
     one exact ``//``.  Collins's own scheme, word-size primes and the
     Chinese remainder theorem, ran 5x slower than the PRS in pure Python.
 
+    When every monomial of p has e_name + e_v of one parity eps_p, and every
+    one of q likewise eps_q, then p(-v, -name) = (-1)^eps_p * p(v, name),
+    and since negating name multiplies a resultant by (-1)^(m*n), R(-v) =
+    sigma * R(v) with sigma = (-1)^(eps_p*n + eps_q*m + m*n).  So R =
+    v^odd * S(v^2), with (-1)^odd = sigma, and S, of degree at most
+    (D_v - odd)//2, is interpolated from (D_v - odd)//2 + 1 points v = odd,
+    odd + 1, ... at the nodes v^2, each value first divided by v when odd.
+    That halves the points.  The test reads the exponents of name and v
+    only, not the total degree, so each level of the recursion makes it
+    anew for its own v.  The ansatz has it through its symmetry x -> -x,
+    which acts as (a, c) -> (-a, -c): F2, F3 and the residue cofactor are
+    even in (a, c), F1 and F3' odd.
+
     Every other domain runs the subresultant PRS on ``MultiPoly``
     (``_resultant``).
     """
@@ -1184,7 +1204,8 @@ def resultant(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
 def _eval_resultant(p: dict, q: dict, i: int) -> dict:
     """The terms of res(p, q) in variable i, for nonzero int term dicts p
     and q: evaluation at integer points and Newton interpolation, one
-    variable at a time (see ``resultant``)."""
+    variable at a time, at half the points when the (v, name) -> (-v, -name)
+    symmetry holds (see ``resultant``)."""
     nv = len(next(iter(p)))
     j = next((j for j in range(nv) if j != i and any(e[j] for t in (p, q) for e in t)), None)
     if j is None:
@@ -1193,24 +1214,41 @@ def _eval_resultant(p: dict, q: dict, i: int) -> dict:
     m, n = _degree(p, i), _degree(q, i)
     pj, qj = _degree(p, j), _degree(q, j)
     bound = min(n * pj + m * qj, n * max(map(sum, p)) + m * max(map(sum, q)) - m * n)
+    ep, eq = _parity(p, i, j), _parity(q, i, j)
+    if ep is None or eq is None:
+        step, odd, points = 1, 0, (x for k in count() for x in (-k, k + 1))
+    else:
+        # R(-v) = sigma * R(v) with sigma = (-1)^odd, so R = v^odd * S(v^2)
+        odd = (ep * n + eq * m + m * n) % 2
+        step, points = 2, count(odd)
+    need = (bound - odd) // step + 1
     prows, qrows = _rows_in(p, j), _rows_in(q, j)
-    xs, values = [], []
-    x = 0
-    while len(xs) <= bound:
+    nodes, values = [], []
+    while len(nodes) < need:
+        x = next(points)
         powers = [x**k for k in range(max(pj, qj) + 1)]
         pe, qe = _eval_rows(prows, powers), _eval_rows(qrows, powers)
         # a vanishing leading coefficient would change the Sylvester matrix
         if pe and qe and _degree(pe, i) == m and _degree(qe, i) == n:
-            xs.append(x)
-            values.append(_eval_resultant(pe, qe, i))
-        x = -x if x > 0 else 1 - x
+            r = _eval_resultant(pe, qe, i)
+            if odd:
+                r = dict(zip(r, _exact_quots(r.values(), repeat(x))))
+            nodes.append(x**step)
+            values.append(r)
     out = {}
     for key in set().union(*values):
-        coeffs = _newton_interpolate(xs, [v.get(key, 0) for v in values])
+        coeffs = _newton_interpolate(nodes, [v.get(key, 0) for v in values])
         for k, c in enumerate(coeffs):
             if c:
-                out[key[:j] + (k,) + key[j + 1 :]] = c
+                out[key[:j] + (step * k + odd,) + key[j + 1 :]] = c
     return out
+
+
+def _parity(terms: dict, i: int, j: int):
+    """(e_i + e_j) % 2, when it is the same over every monomial e of the
+    term dict, else None."""
+    parities = {(e[i] + e[j]) % 2 for e in terms}
+    return parities.pop() if len(parities) == 1 else None
 
 
 def _degree(terms: dict, i: int) -> int:

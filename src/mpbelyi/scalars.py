@@ -174,7 +174,8 @@ class BranchExt(FieldOps):
         n = self.norm()
         if not n:
             raise ZeroDivisionError("division by zero in %s" % self.ext.name)
-        return self._trusted(self.a / n, -self.b / n, self.ext)
+        inv = self.ext.base.inv(n)
+        return self._trusted(self.a * inv, -self.b * inv, self.ext)
 
     # -- field-specific ------------------------------------------------
 

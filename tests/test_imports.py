@@ -1,7 +1,7 @@
-"""Every imported name is used: each ``.py`` under src/ and tests/ is parsed
-with ``ast``, and a name that an import binds but the module never reads
-fails the test with its file and line.  ``from __future__`` imports are
-exempt."""
+"""Every imported name is used: each ``.py`` under src/, tests/ and
+perfbench/ is parsed with ``ast``, and a name that an import binds but the
+module never reads fails the test with its file and line.  ``from
+__future__`` imports are exempt."""
 
 import ast
 from pathlib import Path
@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
+FILES = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(tree):

@@ -593,12 +593,174 @@ def test_eval_resultant_attains_the_degree_bound(m, n, alpha, beta, ptail, qtail
 
 
 def test_newton_interpolation_is_exact_or_raises():
-    xs = [0, 1, -1, 2, -2]
-    poly = [7, -3, 0, 5]  # 7 - 3v + 5v^3 at five nodes: degree bound 4
-    ys = [sum(k * x**i for i, k in enumerate(poly)) for x in xs]
-    assert poly_module._newton_interpolate(xs, ys) == poly + [0]
-    with pytest.raises(ArithmeticError):
-        poly_module._newton_interpolate([0, 1, -1], [0, 1, 0])  # (v^2 + v)/2
+    # the nodes of the general case, and the squares of the symmetric one
+    for xs in ([0, 1, -1, 2, -2], [0, 1, 4, 9, 16], [1, 4, 9, 16, 25]):
+        poly = [7, -3, 0, 5]  # 7 - 3v + 5v^3 at five nodes: degree bound 4
+        ys = [sum(k * x**i for i, k in enumerate(poly)) for x in xs]
+        assert poly_module._newton_interpolate(xs, ys) == poly + [0]
+        with pytest.raises(ArithmeticError):
+            # (v^2 + v)/2: integer values, not integer coefficients
+            poly_module._newton_interpolate(xs[:3], [(x * x + x) // 2 for x in xs[:3]])
+
+
+# -- the (a, c) -> (-a, -c) symmetry: half the points ------------------------------
+
+
+def with_parity(p, eps, key):
+    """p with the exponent of c raised by one wherever key(e) % 2 != eps."""
+    terms = {}
+    for e, k in p.terms.items():
+        e = e[:-1] + (e[-1] + (key(e) + eps) % 2,)
+        terms[e] = terms.get(e, 0) + k
+    return MultiPoly(ZZ, p.vars, terms)
+
+
+def a_plus_c(e):
+    return e[0] + e[-1]
+
+
+def parity_poly(variables, eps, key=a_plus_c, **kw):
+    """A nonzero ZZ polynomial whose monomials all have key(e) = eps mod 2."""
+    return zz_poly(variables, **kw).map(lambda p: with_parity(p, eps, key)).filter(bool)
+
+
+def halved_points(p, q):
+    """The points res_c(p, q) takes in a when e_a + e_c has one parity over
+    each input: (bound - odd)//2 + 1, with bound the degree bound D_a of
+    ``resultant`` and odd the parity of sigma's exponent."""
+    m, n = p.degree_in("c"), q.degree_in("c")
+    ep, eq = ({a_plus_c(e) % 2 for e in t.terms}.pop() for t in (p, q))
+    bound = min(n * p.degree_in("a") + m * q.degree_in("a"),
+                n * p.total_degree() + m * q.total_degree() - m * n)
+    odd = (ep * n + eq * m + m * n) % 2
+    return (bound - odd) // 2 + 1
+
+
+def resultant_and_points(p, q):
+    """res_c(p, q) over ZZ, checked against the PRS, and the number of
+    points at which its outermost evaluation took a resultant."""
+    depth, points = [0], [0]
+    inner = poly_module._eval_resultant
+
+    def spy(pt, qt, i):
+        depth[0] += 1
+        points[0] += depth[0] == 2
+        try:
+            return inner(pt, qt, i)
+        finally:
+            depth[0] -= 1
+
+    with mock.patch.object(poly_module, "_eval_resultant", spy):
+        r = checked_resultant(p, q)
+    return r, points[0]
+
+
+@pytest.mark.parametrize("ep, eq", [(0, 0), (0, 1), (1, 0), (1, 1)])
+@PROPS
+@given(data=st.data())
+def test_symmetric_resultant_takes_half_the_points(ep, eq, data):
+    p, q = data.draw(parity_poly(AC, ep)), data.draw(parity_poly(AC, eq))
+    assume(p.uses("a") or q.uses("a"))
+    assume(p.uses("c") or q.uses("c"))
+    r, points = resultant_and_points(p, q)
+    assert points == halved_points(p, q)
+    # R(-a) = sigma * R(a): one parity of a's exponent, odd when sigma = -1
+    m, n = p.degree_in("c"), q.degree_in("c")
+    odd = (ep * n + eq * m + m * n) % 2
+    assert all(e[0] % 2 == odd for e in r.terms)
+
+
+def test_odd_symmetric_resultant_vanishes_at_zero():
+    # sigma = (-1)^(1 + 1 + 1): R(0) = 0, and each value is divided by a
+    p, q = (over_zz(parse_poly(t, AC)) for t in ("c+a", "c+2*a"))
+    assert resultant_and_points(p, q) == (over_zz(parse_poly("a", AC)), 1)
+    p, q = (over_zz(parse_poly(t, AC)) for t in ("c^3+a*c^2-5*a^3", "3*c^2*a+c-7*a^2*c"))
+    r, points = resultant_and_points(p, q)
+    assert points == halved_points(p, q)
+    assert r and all(e[0] % 2 for e in r.terms)
+
+
+@PROPS
+@given(data=st.data(), ep=st.integers(0, 1), eq=st.integers(0, 1))
+def test_symmetry_read_from_the_two_variables_only(data, ep, eq):
+    # three variables: e_a + e_c has one parity, the total degree two
+    strat = (parity_poly(ABC, e, max_c=2, max_terms=4) for e in (ep, eq))
+    p, q = (data.draw(s) for s in strat)
+    assume(p.uses("a") and (p.uses("c") or q.uses("c")))
+    assume(any(len({sum(e) % 2 for e in t.terms}) > 1 for t in (p, q)))
+    r, points = resultant_and_points(p, q)
+    assert points == halved_points(p, q)
+
+
+@PROPS
+@given(data=st.data(), ep=st.integers(0, 1), eq=st.integers(0, 1))
+def test_one_parity_of_total_degree_is_no_symmetry(data, ep, eq):
+    # three variables: the total degree has one parity, e_a + e_c need not
+    strat = (parity_poly(ABC, e, key=sum, max_c=2, max_terms=4) for e in (ep, eq))
+    p, q = (data.draw(s) for s in strat)
+    assume(p.uses("c") or q.uses("c"))
+    checked_resultant(p, q)
+
+
+@PROPS
+@given(
+    st.lists(st.integers(0, 3), min_size=1, max_size=2, unique=True),
+    st.integers(1, 3),
+    st.integers(0, 1),
+    st.integers(0, 1),
+    st.data(),
+)
+def test_symmetric_resultant_skips_points_where_a_leading_coefficient_vanishes(
+    roots, k, s, eq, data
+):
+    # lc_c(p) = a^s * prod(a^2 - r^2) vanishes at some of the first nodes
+    a, c = MultiPoly.var(ZZ, AC, "a"), MultiPoly.var(ZZ, AC, "c")
+    lc = a**s
+    for r in roots:
+        lc = lc * (a * a - r * r)
+    tail = data.draw(parity_poly(AC, (s + k) % 2, max_c=k))
+    p = lc * c**k + MultiPoly(ZZ, AC, {e: v for e, v in tail.terms.items() if e[1] < k})
+    q = data.draw(parity_poly(AC, eq))
+    r, points = resultant_and_points(p, q)
+    assert points == halved_points(p, q)
+    resultant_and_points(q * (a * a - roots[0] ** 2), p)
+
+
+@PROPS
+@given(data=st.data(), ef=st.integers(0, 1), eg=st.integers(0, 1), eh=st.integers(0, 1))
+def test_symmetric_resultant_of_inputs_with_a_common_factor_is_zero(data, ef, eg, eh):
+    f, g = data.draw(parity_poly(AC, ef)), data.draw(parity_poly(AC, eg))
+    h = data.draw(parity_poly(AC, eh, max_terms=3))
+    assume(h.uses("c"))
+    assert not checked_resultant(f * h, g * h)
+
+
+def dense_resultant_calls(f, *args):
+    calls = [0]
+    inner = poly_module._dense_resultant
+
+    def counted(a, b):
+        calls[0] += 1
+        return inner(a, b)
+
+    with mock.patch.object(poly_module, "_dense_resultant", counted):
+        f(*args)
+    return calls[0]
+
+
+def test_elimination_takes_half_the_points():
+    """F3 is even and H, like the benchmark's stand-in for the residue
+    cofactor, even of degree 14 in c and in total: res_c(F3, H) has degree
+    at most 140 in a and is even in a, so 71 points; disc_c(F3), of degree
+    at most 90, 46 points."""
+    rng = random.Random(11)
+    h = {(i, j): rng.choice((1, -1)) * rng.randrange(1 << 31, 1 << 32)
+         for j in range(14) for i in range(15 - j) if (i + j) % 2 == 0}
+    h[(0, 14)] = rng.randrange(1 << 31, 1 << 32)
+    f3, h = parse_poly(G.F3, AC), MultiPoly(QQ, AC, h)
+    assert dense_resultant_calls(resultant, f3, h, "c") == 71
+    assert dense_resultant_calls(discriminant, f3, "c") == 46
+    assert dense_resultant_calls(resultant, parse_poly(G.F2, AC), f3, "c") == 11
 
 
 def test_resultant_at_the_real_bidegree():

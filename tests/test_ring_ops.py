@@ -178,6 +178,29 @@ def test_rational_function_inverse_is_in_normal_form(name, data):
     assert inv.num == full.num and inv.den == full.den
 
 
+@pytest.mark.parametrize("name", ["branch_qq", "branch_quad", "function_field"])
+@PROPS
+@given(data=st.data())
+def test_branch_inverse_is_an_inverse(name, data):
+    z = element(name, data, nonzero=True)
+    assert z * z.inverse() == 1 and z.inverse() * z == 1
+
+
+def test_branch_inverse_inverts_the_norm_once(monkeypatch):
+    calls = []
+    inverse = RationalFunction.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(RationalFunction, "inverse", counted)
+    z = CUBIC.y() + CUBIC.x()
+    zi = z.inverse()
+    assert len(calls) == 1 and calls[0] == z.norm()
+    assert z * zi == 1
+
+
 # the only copy kept: one normalisation of num**n/den**n, not one per product
 OVERRIDES = {(RationalFunction, "__pow__")}
 DERIVED = ("__sub__", "__rsub__", "__truediv__", "__rtruediv__", "__pow__")
