@@ -230,7 +230,7 @@ class _Place:
             y_ser = f_ser.sqrt()
             return _Frame(dom, x_ser, y_ser if sign > 0 else -y_ser, dxdt)
         y0 = dom.coerce(y0)
-        y_ser = (f_ser * dom.div(dom.one, y0 * y0)).sqrt() * y0
+        y_ser = (f_ser * dom.inv(y0 * y0)).sqrt() * y0
         return _Frame(dom, x_ser, y_ser, dxdt)
 
 

@@ -41,15 +41,19 @@ polynomial, so normalising runs no gcd when num or den is constant: num/k
 is num*(1/k) over one.  Over Frac(Q[a,c]) every coefficient of the ansatz
 curve's frames has a constant denominator.
 
-A univariate gcd over Q(sqrt(d)) (``euclid`` set) runs monic Euclid, which
-keeps every remainder monic and so bounds coefficient growth; everything
-else (QQ, multivariate input, the other fields) runs the subresultant PRS.
-A coefficient of Q(sqrt(d)) is ``scalars.QuadExt``, (n + s*sqrt(d))/q on
-integers, so each coefficient operation of a remainder step is a few
-integer products and one gcd, with no ``Fraction`` arithmetic.
-Over Frac(Q[a,c]) every monic remainder costs one multivariate gcd per
-coefficient: on gcd(f, f') of the ansatz quartic monic Euclid took about
-3.5 s against 0.03 s for the PRS (Python 3.11 on a 2-vCPU Xeon).
+Univariate gcds and exact divisions over Q(sqrt(d)) run on integers
+(``_quad_gcd``, ``_quad_divide_out``): a polynomial is two dense int lists N
+and S and a common denominator L, coefficient k being (N[k] +
+S[k]*sqrt(d))/L.  A divisor is multiplied by the conjugate of its lead,
+so that the lead is a positive integer m, and a division step scales by
+m/gcd(m, lead of the remainder) only; the gcd's remainders lose their
+integer content.  A ``QuadExt`` is built once per output coefficient, so
+the loops do no element arithmetic and no gcd per coefficient operation.
+Everything else (QQ, multivariate input, the other fields) runs the
+subresultant PRS: over Frac(Q[a,c]) a monic remainder would cost one
+multivariate gcd per coefficient, and on gcd(f, f') of the ansatz quartic
+monic Euclid took about 3.5 s against 0.03 s for the PRS (Python 3.11 on a
+2-vCPU Xeon).
 
 Every exact sparse division (gcd cofactors, contents, PRS quotients,
 ``divide_out`` for orders along a divisor) goes through ``exact_divide``.
@@ -81,7 +85,7 @@ from fractions import Fraction
 from itertools import count, repeat
 from operator import add, itemgetter, sub
 
-from .scalars import BranchExt, FieldOps, QuadExt, RingOps, quadext_sqrt, rational_sqrt_exact
+from .scalars import BranchExt, FieldOps, QuadExt, RingOps, _reduced, quadext_sqrt, rational_sqrt_exact
 
 
 # --------------------------------------------------------------------------
@@ -95,8 +99,7 @@ class Field:
 
     Subclasses provide ``name``, ``zero``, ``one``, ``coerce`` (which returns
     the domain's own elements unchanged) and ``sqrt``, and override the rest
-    only where they differ.  ``euclid`` chooses the univariate gcd algorithm:
-    monic Euclid when True, the subresultant PRS otherwise.
+    only where they differ.
 
     ``lincomb(items)`` is the sum of w*x*y over items (w, x, y), with w an
     int or a ``Fraction`` and x, y elements of the domain; y None stands for
@@ -106,8 +109,6 @@ class Field:
     then multiplies the run's sum by its weight once (not at all for 1 and
     -1, which add and subtract).
     """
-
-    euclid = False
 
     def is_zero(self, x) -> bool:
         return not x
@@ -261,9 +262,8 @@ class QuadDomain(BranchExtDomain):
     There is one instance per d, so the elements of one field share their
     ``ext``."""
 
-    # a coefficient operation is a few integer products and one gcd (QuadExt),
-    # so making every remainder monic is cheap: univariate gcds run monic Euclid
-    euclid = True
+    # univariate gcd and exact division run on integer pairs (_quad_gcd,
+    # _quad_divide_out), not on these elements
     element_class = QuadExt
     _by_d: dict = {}
 
@@ -390,7 +390,6 @@ class IntegerRing:
     coefficient."""
 
     name = "ZZ"
-    euclid = False
     zero = 0
     one = 1
 
@@ -840,6 +839,9 @@ def exact_divide(p: MultiPoly, q: MultiPoly):
     The answer is None as soon as lead(q) fails to divide the leading
     monomial of the remainder, or its coefficient (``dom.quo``, which over
     a field always divides and over ZZ finds a remainder).
+
+    Univariate input over Q(sqrt(d)) runs on integer pairs instead
+    (``_quad_divide_out``), with the same answers.
     """
     if not isinstance(q, MultiPoly):
         q = MultiPoly.const(p.dom, p.vars, q)
@@ -848,6 +850,9 @@ def exact_divide(p: MultiPoly, q: MultiPoly):
         raise ZeroDivisionError("division by the zero polynomial")
     if not p:
         return p
+    if len(p.vars) == 1 and isinstance(p.dom, QuadDomain):
+        k, cofactor = _quad_divide_out(p, q, 1)
+        return cofactor if k else None
     dom = p.dom
     qe, qc = q.leading()
     top = p.total_degree()
@@ -900,13 +905,18 @@ def divide_out(p: MultiPoly, q: MultiPoly):
 
     q must be nonzero and not constant, and p nonzero: a unit divides every
     polynomial, and every polynomial divides 0, infinitely often.
+    Univariate input over Q(sqrt(d)) stays on integer pairs across the
+    divisions (``_quad_divide_out``).
     """
+    p._check_compatible(q)
     if not q:
         raise ZeroDivisionError("division by the zero polynomial")
     if q.is_constant():
         raise ValueError("divide_out by the unit %s never stops" % q)
     if not p:
         raise ValueError("divide_out of the zero polynomial never stops")
+    if len(p.vars) == 1 and isinstance(p.dom, QuadDomain):
+        return _quad_divide_out(p, q)
     k = 0
     while True:
         nxt = exact_divide(p, q)
@@ -967,8 +977,8 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     and ZZ, so gcd(6, -4) = 2 and gcd(0, 6) = gcd(6, 6) = 6.
 
     When either input is one term the gcd is read off the exponents.
-    Univariate input over a domain with ``euclid`` set (Q(sqrt(d))) runs
-    monic Euclid.  Otherwise univariate steps use the subresultant
+    Univariate input over Q(sqrt(d)) runs a remainder sequence on integer
+    pairs (``_quad_gcd``).  Otherwise univariate steps use the subresultant
     polynomial remainder sequence on primitive parts, and multivariate
     inputs recurse through contents.
     """
@@ -990,15 +1000,13 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     g = _monomial_gcd(p, q)
     if g is not None:
         return g
+    if len(p.vars) == 1 and isinstance(p.dom, QuadDomain):
+        return _quad_gcd(p, q)
     name = None
     for v in p.vars:
         if p.uses(v) or q.uses(v):
             name = v
             break
-    if p.dom.euclid and not any(
-        v != name and (p.uses(v) or q.uses(v)) for v in p.vars
-    ):
-        return _gcd_monic_euclid(p, q, name)
     pu, qu = p.uses(name), q.uses(name)
     if not pu or not qu:
         # a divisor of the name-free input and of the other one must divide
@@ -1023,46 +1031,141 @@ def _monomial_gcd(p: MultiPoly, q: MultiPoly):
     return MultiPoly(p.dom, p.vars, {exps: p.dom.one})
 
 
-def _gcd_monic_euclid(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
-    """Monic gcd of nonconstant p, q over a field, both using only name.
+def _quad_ints(p: MultiPoly):
+    """(N, S, L) for nonzero univariate p over Q(sqrt(d)): its coefficient
+    of x^k is (N[k] + S[k]*sqrt(d))/L, with N and S dense int lists, lowest
+    first, and L the lcm of the coefficients' denominators."""
+    terms = p.terms
+    L = math.lcm(*(c.q for c in terms.values()))
+    N = [0] * (max(terms)[0] + 1)
+    S = list(N)
+    for (k,), c in terms.items():
+        f = L // c.q
+        N[k] = c.n * f
+        S[k] = c.s * f
+    return N, S, L
 
-    Euclid's remainder loop on dense coefficient lists, making each remainder
-    monic (W. S. Brown, J. ACM 1971): the coefficients stay the size of the
-    monic remainders instead of growing along a pseudo-remainder sequence.
-    """
-    dom = p.dom
-    a, b = p.univariate_coeffs(name), q.univariate_coeffs(name)
-    if len(a) < len(b):
-        a, b = b, a
-    b = _dense_monic(b, dom)
+
+def _quad_poly(p: MultiPoly, N: list, S: list, num: int, den: int) -> MultiPoly:
+    """The polynomial of univariate p's ring whose coefficient of x^k is
+    num*(N[k] + S[k]*sqrt(d))/den, for den > 0: one ``QuadExt`` per nonzero
+    coefficient."""
+    ext = p.dom
+    terms = {(k,): _reduced(num * a, num * b, den, ext) for k, (a, b) in enumerate(zip(N, S)) if a or b}
+    return MultiPoly._nonzero(ext, p.vars, terms)
+
+
+def _quad_rationalise(N: list, S: list, d: int):
+    """(c, N', S') with (N' + S'*sqrt(d)) = c*(N + S*sqrt(d)), c = (cn, cs)
+    standing for cn + cs*sqrt(d), chosen so that the lead of the product is
+    a positive integer: c is +-1 when the lead is rational, else the
+    conjugate of the lead, negated when the lead's norm is negative
+    (sqrt(d) itself has norm -d)."""
+    a, b = N[-1], S[-1]
+    if not b:
+        c = (1, 0) if a > 0 else (-1, 0)
+    elif a * a > d * b * b:
+        c = (a, -b)
+    else:
+        c = (-a, b)
+    return (c, *_quad_scale(N, S, c, d))
+
+
+def _quad_scale(N: list, S: list, c, d: int):
+    """(N', S') with N' + S'*sqrt(d) = (cn + cs*sqrt(d))*(N + S*sqrt(d))."""
+    cn, cs = c
+    if not cs:
+        return (N, S) if cn == 1 else ([cn * a for a in N], [cn * b for b in S])
+    ds = d * cs
+    return [cn * a + ds * b for a, b in zip(N, S)], [cn * b + cs * a for a, b in zip(N, S)]
+
+
+def _quad_divmod(N: list, S: list, BN: list, BS: list, d: int):
+    """(D, UN, US, RN, RS) on dense pair lists, lowest first, with
+    D*(N + S*w) = (UN + US*w)*(BN + BS*w) + RN + RS*w for w = sqrt(d), D a
+    positive int and deg R < deg B, R's trailing zeros stripped.  The lead
+    of B must be a positive integer m (``_quad_rationalise``).  A step on a
+    remainder lead (a, b) scales the remainder and the partial quotient by
+    f = m/gcd(m, a, b) only, so that the quotient term (a + b*w)*f/m has
+    integer parts; when m divides the lead, f is 1 and nothing is scaled."""
+    m, db = BN[-1], len(BN) - 1
+    RN, RS = list(N), list(S)
+    nq = max(len(N) - db, 0)
+    UN, US = [0] * nq, [0] * nq
+    D = 1
+    for k in range(nq - 1, -1, -1):
+        a, b = RN.pop(), RS.pop()
+        if not (a or b):
+            continue
+        g = math.gcd(m, a, b)
+        f = m // g
+        if f != 1:
+            RN = [f * x for x in RN]
+            RS = [f * x for x in RS]
+            UN[k + 1 :] = [f * x for x in UN[k + 1 :]]
+            US[k + 1 :] = [f * x for x in US[k + 1 :]]
+            D *= f
+        a //= g
+        b //= g
+        UN[k], US[k] = a, b
+        # R -= (a + b*w)*x^k*B below the cancelled lead
+        bd = b * d
+        top = k + db
+        RN[k:top] = [r - a * x - bd * y for r, x, y in zip(RN[k:top], BN, BS)]
+        RS[k:top] = [r - a * y - b * x for r, x, y in zip(RS[k:top], BN, BS)]
+    while RN and not (RN[-1] or RS[-1]):
+        RN.pop()
+        RS.pop()
+    return D, UN, US, RN, RS
+
+
+def _quad_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """Monic gcd of nonconstant univariate p, q over Q(sqrt(d)) on integer
+    pairs (W. S. Brown, J. ACM 1971; L. Langemyr and
+    S. McCallum, J. Symbolic Comput. 1989).  Each divisor is multiplied by
+    ``_quad_rationalise``'s c, so its lead is a positive integer, and each
+    remainder (``_quad_divmod``) loses its integer content.  The last
+    nonzero remainder, rationalised, is made monic by one ``QuadExt`` per
+    coefficient."""
+    d = p.dom.d
+    AN, AS, _ = _quad_ints(p)
+    BN, BS, _ = _quad_ints(q)
+    if len(AN) < len(BN):
+        AN, AS, BN, BS = BN, BS, AN, AS
     while True:
-        r = _dense_rem(a, b, dom)
-        if not r:
+        _, CN, CS = _quad_rationalise(BN, BS, d)
+        RN, RS = _quad_divmod(AN, AS, CN, CS, d)[3:]
+        if not RN:
+            return _quad_poly(p, CN, CS, 1, CN[-1])
+        if len(RN) == 1:
+            return MultiPoly.const(p.dom, p.vars, p.dom.one)
+        c = math.gcd(*RN, *RS)
+        AN, AS, BN, BS = BN, BS, [x // c for x in RN], [x // c for x in RS]
+
+
+def _quad_divide_out(p: MultiPoly, q: MultiPoly, most=None):
+    """``divide_out`` of nonzero univariate p by q over Q(sqrt(d)), stopping
+    after ``most`` divisions when it is not None, on integer pairs: q is converted and rationalised once (c from
+    ``_quad_rationalise``), and each division multiplies the dividend by
+    the same c and takes the quotient off ``_quad_divmod`` when the
+    remainder is zero.  The cofactor is built once, at the end."""
+    d = p.dom.d
+    PN, PS, den = _quad_ints(p)
+    QN, QS, lq = _quad_ints(q)
+    c, QN, QS = _quad_rationalise(QN, QS, d)
+    # p/q^k = (num/den)*(PN + PS*w) for w = sqrt(d), after k divisions
+    k, num = 0, 1
+    while k != most and len(QN) <= len(PN):
+        D, UN, US, RN, _ = _quad_divmod(*_quad_scale(PN, PS, c, d), QN, QS, d)
+        if RN:
             break
-        a, b = b, _dense_monic(r, dom)
-    return MultiPoly.from_univariate(dom, name, b).with_vars(p.vars)
-
-
-def _dense_monic(a: list, dom) -> list:
-    inv = dom.div(dom.one, a[-1])
-    return [c * inv for c in a[:-1]] + [dom.one]
-
-
-def _dense_rem(a: list, b: list, dom) -> list:
-    """Remainder of a by monic b (dense, lowest degree first), trailing
-    zeros stripped: [] when b divides a."""
-    r = list(a)
-    db = len(b) - 1
-    for k in range(len(r) - 1 - db, -1, -1):
-        c = r[k + db]
-        if not dom.is_zero(c):
-            c = -c  # negated once, so that the loop below only adds
-            for j in range(db):
-                r[k + j] = r[k + j] + c * b[j]
-    del r[db:]
-    while r and dom.is_zero(r[-1]):
-        r.pop()
-    return r
+        if D != 1:
+            # only the scale D makes the pairs grow from one division to the next
+            g = math.gcd(D, *UN, *US)
+            if g != 1:
+                D, UN, US = D // g, [x // g for x in UN], [x // g for x in US]
+        k, num, den, PN, PS = k + 1, num * lq, den * D, UN, US
+    return k, (_quad_poly(p, PN, PS, num, den) if k else p)
 
 
 def _primitive_in(p: MultiPoly, name: str):
@@ -1513,7 +1616,7 @@ def _rf_normalize(num: MultiPoly, den: MultiPoly):
             den = _exact_quot(den, g)
     cd, dprim = den.primitive()
     if cd != dom.one:
-        num = num.scale(dom.div(dom.one, cd))
+        num = num.scale(dom.inv(cd))
     return num, dprim
 
 
@@ -1601,7 +1704,7 @@ class RationalFunction(FieldOps):
         u, den = self.num.primitive()
         num = self.den
         if u != num.dom.one:
-            num = num.scale(num.dom.div(num.dom.one, u))
+            num = num.scale(num.dom.inv(u))
         return RationalFunction._reduced(num, den)
 
     # one normalisation of num**n/den**n instead of one per product

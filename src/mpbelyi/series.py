@@ -159,7 +159,7 @@ class LaurentSeries(FieldOps):
         if v is None:
             raise ZeroDivisionError("%s a series that vanishes to its truncation" % what)
         lead = self.coeffs[v]
-        inv_lead = self.dom.div(self.dom.one, lead)
+        inv_lead = self.dom.inv(lead)
         u = _scaled({k - v: c for k, c in self.coeffs.items() if k != v}, inv_lead, self.dom)
         return v, lead, inv_lead, u
 

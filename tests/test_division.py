@@ -2,9 +2,14 @@
 
 Property tests (hypothesis) over bivariate QQ and ZZ, trivariate ZZ,
 bivariate ZZ with exponents at the packed fields' width edges (2^k - 1 and
-2^k, up to 400), univariate Q(sqrt(105)) and univariate Frac(Q[a]), and a
-cross-check against the plain division loop that rebuilds the whole
-remainder for every quotient term.
+2^k, up to 400), univariate Q(sqrt(105)) and Q(sqrt(2)), Q(sqrt(2))[y,x]
+using x alone and univariate Frac(Q[a]), and a cross-check against the
+plain division loop that rebuilds the whole remainder for every quotient
+term.  Univariate division over Q(sqrt(d)) runs on integer pairs, so its
+leads are drawn to have a nonzero sqrt(d) part, sqrt(d) itself among them
+(its rationalised form, -d, is negative), over coefficients with non-unit
+denominators; a guard test counts that it does no ``QuadExt`` arithmetic.
+The bivariate ring keeps the sparse kernel over ``QuadExt`` covered.
 """
 
 import pytest
@@ -20,21 +25,37 @@ from mpbelyi.poly import (
     RationalFunction,
     divide_out,
     exact_divide,
+    poly_gcd,
 )
 from mpbelyi.scalars import QuadExt
 
 K = QuadDomain(105)
 F = FractionFieldDomain(QQ, ("a",))
-# 60 examples over the six rings of DOMAINS: as many per ring as 40 over four
-PROPS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# 80 examples over the eight rings of DOMAINS: as many per ring as 40 over four
+PROPS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
 small_q = st.fractions(min_value=-9, max_value=9, max_denominator=4)
-quad = st.builds(lambda r, s: QuadExt(r, s, 105), small_q, small_q)
 
 
 def upoly(dom, coeffs):
     return st.lists(coeffs, min_size=1, max_size=4).map(
         lambda cs: MultiPoly.from_univariate(dom, "x", cs)
+    )
+
+
+def quad_upoly(d):
+    """Polynomials in x over Q(sqrt(d)) of degree at most 3 whose lead is
+    sqrt(d), r + s*sqrt(d) with s nonzero, or any nonzero coefficient."""
+    coeff = st.builds(lambda r, s: QuadExt(r, s, d), small_q, small_q)
+    lead = st.one_of(
+        st.just(QuadExt(0, 1, d)),
+        st.builds(lambda r, s: QuadExt(r, s, d), small_q, small_q.filter(bool)),
+        coeff.filter(bool),
+    )
+    return st.builds(
+        lambda cs, c: MultiPoly.from_univariate(QuadDomain(d), "x", cs + [c]),
+        st.lists(coeff, max_size=3),
+        lead,
     )
 
 
@@ -63,9 +84,12 @@ DOMAINS = {
     "ZZ[x,y]": zz_poly,
     "ZZ[x,y,z]": zz3_poly,
     "ZZ[x,y] high exponents": zz_high_poly,
-    "Q(sqrt(105))[x]": upoly(K, quad),
+    "Q(sqrt(105))[x]": quad_upoly(105),
+    "Q(sqrt(2))[x]": quad_upoly(2),
+    "Q(sqrt(2))[y,x] in x": quad_upoly(2).map(lambda p: p.with_vars(("y", "x"))),
     "Frac(Q[a])[x]": upoly(F, frac_a),
 }
+QUAD_RINGS = sorted(name for name in DOMAINS if name.startswith("Q(sqrt"))
 
 
 def polys(nonzero=False, nonconstant=False):
@@ -125,6 +149,17 @@ def test_product_plus_unit_is_not_divisible(t):
 
 
 @PROPS
+@given(st.sampled_from(QUAD_RINGS).flatmap(lambda name: st.tuples(*[DOMAINS[name]] * 3)))
+def test_a_remainder_below_the_divisor_is_not_divisible(t):
+    # the final remainder r, with deg r < deg q, decides the division
+    p, q, r = t
+    i = q.vars.index("x")
+    r = MultiPoly(r.dom, r.vars, {e: c for e, c in r.terms.items() if e[i] < q.degree_in("x")})
+    assume(r)
+    assert exact_divide(p * q + r, q) is None
+
+
+@PROPS
 @given(polys(nonconstant=True), st.integers(0, 3))
 def test_divide_out_counts_the_planted_power(t, k):
     p, q, _ = t
@@ -181,3 +216,24 @@ def test_divide_out_rejects_units_and_zero():
         divide_out(x + 1, MultiPoly.zero(QQ, ("x",)))
     with pytest.raises(ValueError):
         divide_out(MultiPoly.zero(QQ, ("x",)), x)
+
+
+def test_quad_gcd_and_division_do_no_element_arithmetic(monkeypatch):
+    # univariate Q(sqrt(105)) input runs on integer pairs and builds each
+    # output coefficient once, with no QuadExt operation
+    x = MultiPoly.var(K, ("x",), "x")
+    w = K.w()
+    lin = x - w
+    other = 3 * x + QuadExt(1, 2, 105) / 5
+    f = lin**2 * other
+    g = lin * (w * x + 7)
+    want = (lin, lin * other, None, (2, other))
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__neg__", "__truediv__", "inverse"):
+        fn = getattr(QuadExt, name)
+        monkeypatch.setattr(QuadExt, name, lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+    got = (poly_gcd(f, g), exact_divide(f, lin), exact_divide(f, g), divide_out(f, lin))
+    monkeypatch.undo()
+    assert calls == []
+    assert got == want

@@ -1,8 +1,9 @@
 """Polynomial engine tests.
 
 Oracles come first and are deliberately naive: cofactor determinants,
-dense-list division, monic Euclid, Sylvester matrices.  The fast exact
-algorithms must agree with them.
+dense-list division, monic Euclid (on Fraction lists, and on QuadExt lists
+for the integer-pair gcd over Q(sqrt d)), Sylvester matrices.  The fast
+exact algorithms must agree with them.
 """
 
 import math
@@ -86,7 +87,8 @@ def dense_divmod(a, b):
 
 
 def gcd_monic_euclid(a, b):
-    """Monic gcd of dense Fraction lists by plain Euclid."""
+    """Monic gcd of dense lists of field elements (Fraction, QuadExt) by
+    plain Euclid."""
     a, b = dense_trim(a), dense_trim(b)
     while b:
         _, r = dense_divmod(a, b)
@@ -471,6 +473,39 @@ def over_q105(p, q):
     for e, c in q.terms.items():
         terms[e] = terms.get(e, Q105.zero) + QuadExt(0, c, 105)
     return MultiPoly(Q105, p.vars, terms)
+
+
+def quad_upoly(d):
+    """Polynomials in x over Q(sqrt(d)) of degree at most 3 whose lead is
+    sqrt(d) (rationalised: -d), r + s*sqrt(d) with s nonzero, or any nonzero
+    coefficient; coefficients have denominators up to 4."""
+    coeff = st.builds(lambda r, s: QuadExt(r, s, d), small_frac, small_frac)
+    lead = st.one_of(
+        st.just(QuadExt(0, 1, d)),
+        st.builds(lambda r, s: QuadExt(r, s, d), small_frac, nonzero_frac),
+        coeff.filter(bool),
+    )
+    return st.builds(
+        lambda cs, c: MultiPoly.from_univariate(QuadDomain(d), "x", cs + [c]),
+        st.lists(coeff, max_size=3),
+        lead,
+    )
+
+
+@PROPS
+@given(
+    st.sampled_from([105, 2]).flatmap(lambda d: st.tuples(*[quad_upoly(d)] * 3)),
+    st.booleans(),
+)
+def test_quad_gcd_matches_monic_euclid_on_quadext(t, embed):
+    # p*h and q*h share h at least; on request x is the second of two
+    # variables, which runs the subresultant PRS instead of integer pairs
+    p, q, h = t
+    a, b = p * h, q * h
+    want = gcd_monic_euclid(a.univariate_coeffs("x"), b.univariate_coeffs("x"))
+    if embed:
+        a, b = a.with_vars(("y", "x")), b.with_vars(("y", "x"))
+    assert poly_gcd(a, b).univariate_coeffs("x") == want
 
 
 # one discriminant on every ring: QQ and ZZ through the evaluation resultant,
