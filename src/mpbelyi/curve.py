@@ -194,14 +194,16 @@ def _eval_ratfunc_series(rf: RationalFunction, x_ser: LaurentSeries) -> LaurentS
 
 
 class _Place:
-    """A place of the curve.  edom, the field its local frames live in, is
-    the extension of root (a square root the place needs, see ``_root``)
-    when root is a ``BranchExt``, else the curve's field.  Places are equal
-    when they have the same type, curve and _key()."""
+    """A place of the curve.  root, the lead of y(t) in its frames, is y0 or
+    the root of f(x(t))'s lead that the place selects (see ``_root``); edom,
+    the field the frames live in, is root's extension when root is a
+    ``BranchExt``, else the curve's field.  Places are equal when they have
+    the same type, curve and _key()."""
 
     def __init__(self, curve: CurveModel, root):
         self.curve = curve
         self.edom = root.ext if isinstance(root, BranchExt) else curve.dom
+        self.root = self.edom.coerce(root)
 
     def _key(self):
         return ()
@@ -217,21 +219,16 @@ class _Place:
             and self._key() == other._key()
         )
 
-    def _frame(self, x_terms: dict, window: int, y0=None, sign: int = 1) -> _Frame:
+    def _frame(self, x_terms: dict, window: int) -> _Frame:
         """The frame with x(t) the sum of x_terms {exponent: coefficient}
         (integer coefficients but for the constant x0) and dx/dt their
-        term-wise derivative, both known below t^window.  y(t) is
-        y0*sqrt(f(x(t))/y0^2) when y0 is given, else sign*sqrt(f(x(t)))."""
+        term-wise derivative, both known below t^window.  y(t) is the
+        square root of f(x(t)) whose lead is the place's root."""
         dom = self.edom
         x_ser = LaurentSeries(dom, {k: dom.coerce(c) for k, c in x_terms.items()}, window)
         dxdt = LaurentSeries(dom, {k - 1: dom.coerce(k * c) for k, c in x_terms.items() if k}, window)
         f_ser = _eval_poly_series(self.curve.f, x_ser)
-        if y0 is None:
-            y_ser = f_ser.sqrt()
-            return _Frame(dom, x_ser, y_ser if sign > 0 else -y_ser, dxdt)
-        y0 = dom.coerce(y0)
-        y_ser = (f_ser * dom.inv(y0 * y0)).sqrt() * y0
-        return _Frame(dom, x_ser, y_ser, dxdt)
+        return _Frame(dom, x_ser, f_ser.sqrt(self.root), dxdt)
 
 
 class AffinePlace(_Place):
@@ -251,7 +248,7 @@ class AffinePlace(_Place):
         return AffinePlace(self.curve, self.x0, -self.y0)
 
     def frame(self, prec: int) -> _Frame:
-        return self._frame({0: self.x0, 1: 1}, prec, y0=self.y0)
+        return self._frame({0: self.x0, 1: 1}, prec)
 
     def __str__(self):
         return "(x=%s, y=%s)" % (self.curve.dom.render(self.x0), self.y0)
@@ -285,8 +282,8 @@ class InfinitePlace(_Place):
 
     def __init__(self, curve: CurveModel, sign: int):
         lc = curve.f.coeff_of_power("x", 4).constant_value()
-        super().__init__(curve, _root(curve.dom, lc))
         self.sign = 1 if sign >= 0 else -1
+        super().__init__(curve, _root(curve.dom, lc) * self.sign)
 
     def _key(self):
         return (self.sign,)
@@ -295,7 +292,7 @@ class InfinitePlace(_Place):
         return InfinitePlace(self.curve, -self.sign)
 
     def frame(self, prec: int) -> _Frame:
-        return self._frame({-1: 1}, prec + 6, sign=self.sign)
+        return self._frame({-1: 1}, prec + 6)
 
     def __str__(self):
         return "(x=inf, branch %s)" % ("+" if self.sign > 0 else "-")

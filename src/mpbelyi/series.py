@@ -14,16 +14,18 @@ coefficients; ``-``, ``/`` and ``**`` of series come from ``scalars.FieldOps``.
 
 Every coefficient of a product, an inverse or a square root is one call of
 the domain's ``lincomb``, the sum of w*x*y over a list of (w, x, y) with
-int or ``Fraction`` weights (see ``poly.Field``): the whole convolution of
-that coefficient at once.  On most domains that is the plain sum of
-products; over Frac(Q[a,c]), where every coefficient of the ansatz curve's
-frames has denominator one, it runs on integers and normalises each output
-term once, with each operand's numerator cleared to integers only on its
-first use.  A lead of one, whose inverse and root are one too, scales no
-coefficient, and a one-term series runs no recurrence: its inverse and
-root are those of its lead, and a product with it is the other factor
-shifted and scaled by its coefficient (not scaled at all when that is one),
-which is every Horner step of a polynomial at x(t) = 1/t or t.
+int or ``Fraction`` weights (see ``poly.Field``): the whole sum of that
+coefficient at once.  On most domains that is the plain sum of products;
+over Frac(Q[a,c]), where every coefficient of the ansatz curve's frames has
+denominator one, it runs on integers and normalises each output term once,
+with each operand's numerator cleared to integers only on its first use.
+Inverses and square roots run recurrences over the input's nonzero terms
+(roots by J. C. P. Miller's), so rooting a frame's f(x(t)) of five terms
+costs four products a coefficient.  A lead of one scales nothing, and a
+one-term series runs no recurrence: its inverse and root are those of its
+lead, and a product with it is the other factor shifted and scaled by its
+coefficient (not scaled at all when that is one), which is every Horner
+step of a polynomial at x(t) = 1/t or t.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from fractions import Fraction
 from .scalars import FieldOps
 
 MAX_TRUNCATION = 64
-HALF, MINUS_HALF = Fraction(1, 2), Fraction(-1, 2)
 
 
 class SeriesPrecisionError(ArithmeticError):
@@ -178,37 +179,34 @@ class LaurentSeries(FieldOps):
         g = _scaled(g, inv_lead, dom)
         return LaurentSeries(dom, {e - v: c for e, c in g.items()}, rel - v)
 
-    def sqrt(self) -> "LaurentSeries":
-        """Exact square root: valuation must be even and the leading
-        coefficient a square in the coefficient field.
+    def sqrt(self, root=None) -> "LaurentSeries":
+        """Exact square root of a series of even valuation, led by root
+        (by default the coefficient field's root of the lead); a root that
+        does not square to the lead raises ArithmeticError.
 
-        With self = lead * t^v * (1 + u), the root is root(lead) * t^(v/2)
-        * s where s = 1 + s_1 t + ... solves s^2 = 1 + u term by term:
-        s_n = u_n/2 - s_(n/2)^2/2 - sum of s_i s_(n-i) over 0 < i < n/2,
-        the square present only for even n, as one ``lincomb``.  Each
-        unordered pair of the convolution is multiplied once, so the window
-        of n terms costs about n^2/4 products."""
+        With self = lead * t^v * (1 + u), the root is t^(v/2) * s where
+        s = root + s_1 t + ... satisfies 2 (1 + u) s' = u' s, J. C. P.
+        Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): s_n is the sum of
+        (3k - 2n)/(2n) u_k s_(n-k) over the nonzero u_k, k <= n, one
+        ``lincomb`` of at most |u| products.  It is linear in s, so it
+        starts at s_0 = root and scales nothing after."""
         v, lead, _, u = self._lead_split("square root of")
         if v % 2:
             raise ArithmeticError("series has odd valuation %d, no square root" % v)
         dom = self.dom
-        root = dom.sqrt(lead)
-        if root is None:
-            raise ArithmeticError("leading coefficient is not a square in the coefficient field")
+        root = dom.sqrt(lead) if root is None else dom.coerce(root)
+        if root is None or root * root != lead:
+            raise ArithmeticError("leading coefficient is not a square in the coefficient field (or not root^2)")
         rel = self.prec - v
-        s = {0: dom.one}
+        s = {0: root}
         # a one-term series (u empty) is its lead's root: every s_n is zero
         for n in range(1, rel if u else 1):
-            items = []
-            if n in u:
-                items.append((HALF, u[n], None))
-            if n % 2 == 0 and n // 2 in s:
-                items.append((MINUS_HALF, s[n // 2], s[n // 2]))
-            items += [(-1, s[i], s[n - i]) for i in range(1, (n + 1) // 2) if i in s and n - i in s]
-            c = dom.lincomb(items)
-            if not dom.is_zero(c):
-                s[n] = c
-        s = _scaled(s, root, dom)
+            items = [(Fraction(3 * k - 2 * n, 2 * n), uk, s[n - k])
+                     for k, uk in u.items() if k <= n and 3 * k != 2 * n and n - k in s]
+            if items:
+                c = dom.lincomb(items)
+                if not dom.is_zero(c):
+                    s[n] = c
         return LaurentSeries(dom, {e + v // 2: c for e, c in s.items()}, rel + v // 2)
 
     def derivative(self) -> "LaurentSeries":

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_series import assert_same_series, convolution_sqrt
 
 from mpbelyi import goldens as G
 from mpbelyi.curve import (
@@ -19,6 +20,7 @@ from mpbelyi.curve import (
     InfinitePlace,
     RamifiedAffinePlace,
     RamifiedInfinitePlace,
+    _eval_poly_series,
     coprime_basis,
     divisor_of,
     j_invariant,
@@ -240,6 +242,24 @@ def test_frame_laws_for_every_place_type(dom):
     for i, p in enumerate(places):
         for j, q in enumerate(places):
             assert (p == q) == (i == j), (str(p), str(q))
+
+
+@pytest.mark.parametrize("dom", [QQ, QuadDomain(105)], ids=["QQ", "Q(sqrt105)"])
+def test_frames_seeded_by_the_root_are_the_scaled_or_negated_roots(dom):
+    """y(t) started at the place's root is the frame of the former recipe:
+    y0*sqrt(f(x(t))/y0^2) at an affine point, else sign*sqrt(f(x(t))) with
+    the field's root of the lead, each root taken by the convolution."""
+    for p in law_places(dom):
+        fr = p.frame(10)
+        f_ser = _eval_poly_series(p.curve.f, fr.x)
+        if p.kind == "affine":
+            y0 = fr.dom.coerce(p.y0)
+            want = convolution_sqrt(f_ser * fr.dom.inv(y0 * y0), fr.dom.one) * y0
+        else:
+            want = convolution_sqrt(f_ser, fr.dom.sqrt(f_ser.coeffs[f_ser.valuation()]))
+            if p.kind == "infinite" and p.sign < 0:
+                want = -want
+        assert_same_series(fr.y, want)
 
 
 def test_places_are_equal_by_type_curve_and_data():

@@ -577,6 +577,21 @@ def test_ansatz_frames_at_infinity_run_no_gcd(monkeypatch):
         assert fr.y.coefficient_of(-1) == half_c * sign
 
 
+def test_ansatz_minus_place_frame_negates_no_series(monkeypatch):
+    """The minus place at infinity seeds its root with -1, so its y is the
+    plus place's y negated coefficient by coefficient with no
+    ``LaurentSeries.__neg__`` call."""
+    plus, minus = ansatz_curve().places_at_infinity()
+    want = plus.frame(12).y
+    negations = []
+    neg = LaurentSeries.__neg__
+    monkeypatch.setattr(LaurentSeries, "__neg__", lambda self: negations.append(1) or neg(self))
+    got = minus.frame(12).y
+    assert negations == []
+    assert got.prec == want.prec and got.coeffs.keys() == want.coeffs.keys()
+    assert all(got.coeffs[k] == -c for k, c in want.coeffs.items())
+
+
 def test_ansatz_frames_at_infinity_add_no_rational_functions_in_sqrt(monkeypatch):
     """Inside ``LaurentSeries.sqrt`` every coefficient is one integer
     ``lincomb``: no sum of rational functions or of QQ polynomials."""
@@ -585,10 +600,10 @@ def test_ansatz_frames_at_infinity_add_no_rational_functions_in_sqrt(monkeypatch
     depth = [0]
     sqrt = LaurentSeries.sqrt
 
-    def counted_sqrt(self):
+    def counted_sqrt(self, *args):
         depth[0] += 1
         try:
-            return sqrt(self)
+            return sqrt(self, *args)
         finally:
             depth[0] -= 1
 

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpbelyi.poly import FractionFieldDomain, MultiPoly, QQ, QuadDomain, RationalFunction
 from mpbelyi.series import LaurentSeries, MAX_TRUNCATION, SeriesPrecisionError
@@ -99,6 +101,64 @@ def test_sqrt_rejects_odd_valuation_and_nonsquare_lead():
     s = LaurentSeries(QQ, {0: Fraction(2), 1: Fraction(1)}, 8)
     with pytest.raises(ArithmeticError):
         s.sqrt()
+
+
+def convolution_sqrt(f, root):
+    """The root by the convolution the recurrence replaced, as a reference.
+    With f = lead * t^v * (1 + u), s = 1 + s_1 t + ... solves s^2 = 1 + u
+    by s_n = u_n/2 - s_(n/2)^2/2 - sum of s_i s_(n-i) over 0 < i < n/2,
+    about n^2/4 products for n terms; the root is root * t^(v/2) * s."""
+    dom = f.dom
+    v = f.valuation()
+    inv_lead = dom.inv(f.coeffs[v])
+    half = dom.coerce(Fraction(1, 2))
+    s = [dom.one]
+    for n in range(1, f.prec - v):
+        acc = f.coefficient_of(v + n) * inv_lead * half
+        if n % 2 == 0:
+            acc = acc - s[n // 2] * s[n // 2] * half
+        for i in range(1, (n + 1) // 2):
+            acc = acc - s[i] * s[n - i]
+        s.append(acc)
+    return LaurentSeries(dom, {n + v // 2: c * root for n, c in enumerate(s)}, f.prec - v + v // 2)
+
+
+def assert_same_series(got, want):
+    assert got.prec == want.prec and got.coeffs == want.coeffs
+
+
+small_q = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+ROOT_FIELDS = {
+    "qq": (QQ, small_q),
+    "q5": (QuadDomain(5), st.builds(lambda r, s: QuadExt(r, s, 5), small_q, small_q)),
+}
+
+
+@pytest.mark.parametrize("shape", ["sparse", "dense"])
+@pytest.mark.parametrize("field", ROOT_FIELDS)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_sqrt_is_the_convolution_root(field, shape, data):
+    """Miller's recurrence gives the convolution's root, from the field's
+    root of the lead or from a given one, on series with a few nonzero
+    terms (as a frame's f(x(t))) and on series with none zero."""
+    dom, coeffs = ROOT_FIELDS[field]
+    r = data.draw(coeffs.filter(bool))
+    v = data.draw(st.sampled_from([-4, -2, 0, 2]))
+    window = data.draw(st.integers(1, 9))
+    if shape == "sparse":
+        keys = sorted(data.draw(st.sets(st.integers(1, 8), max_size=3)))
+    else:
+        keys = range(1, window)
+    tail = data.draw(st.lists(coeffs.filter(bool), min_size=len(keys), max_size=len(keys)))
+    terms = {v: r * r}
+    terms.update({v + k: c for k, c in zip(keys, tail)})
+    f = LaurentSeries(dom, terms, v + window)
+    assert_same_series(f.sqrt(), convolution_sqrt(f, dom.sqrt(r * r)))
+    assert_same_series(f.sqrt(r), convolution_sqrt(f, r))
+    assert_same_series(f.sqrt(-r), -f.sqrt(r))
+    with pytest.raises(ArithmeticError):
+        f.sqrt(r * 2)
 
 
 def test_derivative_leibniz_random():
