@@ -170,8 +170,7 @@ RESULTANT_FACTORS = (
 
 # -- stage: cases ------------------------------------------------------------
 # Only the quartic-in-a^2 factor with positive real roots survives; its
-# discriminant certifies the field, and the one remaining critical value
-# separates the surviving case from the clean ones.
+# discriminant certifies the field.
 
 SURVIVOR_FACTOR_INDEX = 3
 SURVIVOR_DISC = 1756989512145  # = 105 * 129357^2
@@ -179,7 +178,6 @@ SURVIVOR_DISC_SQUARE_PART = 129357
 SURVIVOR_FIELD_DISC = 105
 A_SQUARED_NUM = (1439865, 129357)  # t = (1439865 +/- 129357*sqrt(105))
 A_SQUARED_DEN = 11340
-THIRD_CRITICAL_VALUE = "525/101838848*a*(6040879+352815*a^2)"
 
 # -- stage: certify ----------------------------------------------------------
 # Closed-form model for the final certification: a cubic curve and the

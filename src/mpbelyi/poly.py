@@ -41,14 +41,18 @@ polynomial, so normalising runs no gcd when num or den is constant: num/k
 is num*(1/k) over one.  Over Frac(Q[a,c]) every coefficient of the ansatz
 curve's frames has a constant denominator.
 
-Univariate gcds and exact divisions over Q(sqrt(d)) run on integers
-(``_quad_gcd``, ``_quad_divide_out``): a polynomial is two dense int lists N
-and S and a common denominator L, coefficient k being (N[k] +
-S[k]*sqrt(d))/L.  A divisor is multiplied by the conjugate of its lead,
-so that the lead is a positive integer m, and a division step scales by
-m/gcd(m, lead of the remainder) only; the gcd's remainders lose their
-integer content.  A ``QuadExt`` is built once per output coefficient, so
-the loops do no element arithmetic and no gcd per coefficient operation.
+Univariate products, derivatives, gcds and exact divisions over
+Q(sqrt(d)) run on integers (``_quad_mul``, ``_quad_gcd``,
+``_quad_divide_out``): a polynomial is two dense int lists N and S and a
+common denominator L, coefficient k being (N[k] + S[k]*sqrt(d))/L.  A
+product is four integer convolutions, as a product over QQ runs on ZZ.  A
+divisor is multiplied by the conjugate of its lead, so that the lead is a
+positive integer m, and a division step scales by m/gcd(m, lead of the
+remainder) only; the gcd's remainders lose their integer content.  A
+``QuadExt`` is built once per output coefficient, so the loops do no
+element arithmetic and no gcd per coefficient operation, and each
+polynomial keeps its pairs: it is converted once, and what a kernel builds
+starts with them.
 Everything else (QQ, multivariate input, the other fields) runs the
 subresultant PRS: over Frac(Q[a,c]) a monic remainder would cost one
 multivariate gcd per coefficient, and on gcd(f, f') of the ansatz quartic
@@ -82,8 +86,9 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import count, repeat
-from operator import add, itemgetter, sub
+from operator import add, itemgetter, mul, sub
 
 from .scalars import BranchExt, FieldOps, QuadExt, RingOps, _reduced, quadext_sqrt, rational_sqrt_exact
 
@@ -262,8 +267,9 @@ class QuadDomain(BranchExtDomain):
     There is one instance per d, so the elements of one field share their
     ``ext``."""
 
-    # univariate gcd and exact division run on integer pairs (_quad_gcd,
-    # _quad_divide_out), not on these elements
+    # univariate products, derivatives, gcds and exact divisions run on
+    # integer pairs (_quad_mul, _quad_gcd, _quad_divide_out), not on these
+    # elements
     element_class = QuadExt
     _by_d: dict = {}
 
@@ -314,7 +320,9 @@ class FractionFieldDomain(Field):
         first use, and kept with the operand (``RationalFunction._cleared``);
         every product w*(D/d)*X*Y goes into one dict keyed by packed
         monomials over the common denominator D, and each output coefficient
-        is built once as Fraction(k, D).  Any other denominator takes the
+        is built once as Fraction(k, D).  The output keeps its own cleared
+        form, the sums and D divided by their gcd, so the next ``lincomb``
+        does not clear it again.  Any other denominator takes the
         default."""
         items = list(items)
         e0 = self._unit_exp
@@ -344,9 +352,15 @@ class FractionFieldDomain(Field):
                     k = ka + kb
                     s = acc.get(k)
                     acc[k] = a * b if s is None else s + a * b
-        out = {k: Fraction(v, D) for k, v in acc.items() if v}
-        num = MultiPoly._nonzero(QQ, self.inner_vars, _unpack_terms(out, width, len(e0)))
-        return RationalFunction._reduced(num, self.one.den)
+        # the cleared form of the sum, kept as its _zz: what _cleared would
+        # compute from the Fractions
+        g = math.gcd(D, *acc.values())
+        L = D // g
+        zt = _unpack_terms({k: v // g for k, v in acc.items() if v}, width, len(e0))
+        num = MultiPoly._nonzero(QQ, self.inner_vars, {e: Fraction(v, L) for e, v in zt.items()})
+        out = RationalFunction._reduced(num, self.one.den)
+        object.__setattr__(out, "_zz", (L, zt, max(map(max, zt), default=0)))
+        return out
 
     def coerce(self, x):
         # a polynomial or rational function of another ring may be a scalar
@@ -492,9 +506,14 @@ def _mul_terms(p: dict, q: dict) -> dict:
 
 
 class MultiPoly(RingOps):
-    """Sparse polynomial: {exponent tuple: nonzero coefficient}."""
+    """Sparse polynomial: {exponent tuple: nonzero coefficient}.
 
-    __slots__ = ("dom", "vars", "terms")
+    Univariate over Q(sqrt(d)), ``_pairs`` holds its integer-pair form once
+    ``_quad_ints`` has computed it or a pair kernel has built it
+    (``_quad_poly``); terms are never changed in place, so it never goes
+    stale."""
+
+    __slots__ = ("dom", "vars", "terms", "_pairs")
 
     def __init__(self, dom, variables, terms: dict):
         self.dom = dom
@@ -616,13 +635,16 @@ class MultiPoly(RingOps):
             return NotImplemented
         if not self.terms or not o.terms:
             return MultiPoly.zero(self.dom, self.vars)
-        if self.dom is not QQ or len(self.terms) == 1 or len(o.terms) == 1:
-            # a one-term factor only scales: no cheaper on integers
-            return MultiPoly(self.dom, self.vars, _mul_terms(self.terms, o.terms))
-        # over QQ: an integer product, scaled back once per output term
-        (la, (za,)), (lb, (zb,)) = _clear_denominators([self]), _clear_denominators([o])
-        zp = MultiPoly(ZZ, self.vars, _mul_terms(za.terms, zb.terms))
-        return _to_qq(zp, Fraction(1, la * lb))
+        if len(self.terms) > 1 and len(o.terms) > 1:
+            if self.dom is QQ:
+                # an integer product, scaled back once per output term
+                (la, (za,)), (lb, (zb,)) = _clear_denominators([self]), _clear_denominators([o])
+                zp = MultiPoly(ZZ, self.vars, _mul_terms(za.terms, zb.terms))
+                return _to_qq(zp, Fraction(1, la * lb))
+            if len(self.vars) == 1 and isinstance(self.dom, QuadDomain):
+                return _quad_mul(self, o)
+        # a one-term factor only scales: no cheaper on integers
+        return MultiPoly(self.dom, self.vars, _mul_terms(self.terms, o.terms))
 
     __rmul__ = __mul__
 
@@ -732,6 +754,11 @@ class MultiPoly(RingOps):
 
     def derivative(self, name: str) -> "MultiPoly":
         i = self.vars.index(name)
+        if len(self.vars) == 1 and isinstance(self.dom, QuadDomain) and not self.is_constant():
+            # k*N[k] + k*S[k]*sqrt(d) over the same L
+            N, S, L = _quad_ints(self)
+            ks = range(1, len(N))
+            return _quad_poly(self, [k * N[k] for k in ks], [k * S[k] for k in ks], 1, L)
         out = {}
         for e, c in self.terms.items():
             k = e[i]
@@ -1033,8 +1060,14 @@ def _monomial_gcd(p: MultiPoly, q: MultiPoly):
 
 def _quad_ints(p: MultiPoly):
     """(N, S, L) for nonzero univariate p over Q(sqrt(d)): its coefficient
-    of x^k is (N[k] + S[k]*sqrt(d))/L, with N and S dense int lists, lowest
-    first, and L the lcm of the coefficients' denominators."""
+    of x^k is (N[k] + S[k]*sqrt(d))/L, with N and S dense int tuples, lowest
+    first, and L the lcm of the coefficients' denominators, so that N, S
+    and L share no factor.  Kept in p's ``_pairs``, so that each polynomial
+    is converted once; the pair kernels seed it (``_quad_poly``)."""
+    try:
+        return p._pairs
+    except AttributeError:
+        pass
     terms = p.terms
     L = math.lcm(*(c.q for c in terms.values()))
     N = [0] * (max(terms)[0] + 1)
@@ -1043,16 +1076,46 @@ def _quad_ints(p: MultiPoly):
         f = L // c.q
         N[k] = c.n * f
         S[k] = c.s * f
-    return N, S, L
+    out = p._pairs = (tuple(N), tuple(S), L)
+    return out
 
 
-def _quad_poly(p: MultiPoly, N: list, S: list, num: int, den: int) -> MultiPoly:
+def _quad_poly(p: MultiPoly, N, S, num: int, den: int) -> MultiPoly:
     """The polynomial of univariate p's ring whose coefficient of x^k is
-    num*(N[k] + S[k]*sqrt(d))/den, for den > 0: one ``QuadExt`` per nonzero
-    coefficient."""
+    num*(N[k] + S[k]*sqrt(d))/den, for den > 0 and a nonzero lead: one
+    ``QuadExt`` per nonzero coefficient.  Its ``_pairs`` are these pairs
+    with num folded in and the common factor of the pairs and den removed,
+    which is what ``_quad_ints`` would compute from the coefficients."""
+    if num != 1:
+        N, S = [num * a for a in N], [num * b for b in S]
+    g = math.gcd(den, *N, *S)
+    if g != 1:
+        N, S, den = [a // g for a in N], [b // g for b in S], den // g
     ext = p.dom
-    terms = {(k,): _reduced(num * a, num * b, den, ext) for k, (a, b) in enumerate(zip(N, S)) if a or b}
-    return MultiPoly._nonzero(ext, p.vars, terms)
+    terms = {(k,): _reduced(a, b, den, ext) for k, (a, b) in enumerate(zip(N, S)) if a or b}
+    out = MultiPoly._nonzero(ext, p.vars, terms)
+    out._pairs = (tuple(N), tuple(S), den)
+    return out
+
+
+def _quad_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """p*q for univariate p, q over Q(sqrt(d)) on integer pairs: with
+    w = sqrt(d), (PN + PS*w)*(QN + QS*w) = PN*QN + d*PS*QS + (PN*QS +
+    PS*QN)*w, all four convolutions in one pass over the rows of p, over
+    the denominator Lp*Lq."""
+    d = p.dom.d
+    PN, PS, lp = _quad_ints(p)
+    QN, QS, lq = _quad_ints(q)
+    nq = len(QN)
+    N = [0] * (len(PN) + nq - 1)
+    S = list(N)
+    for k, (a, b) in enumerate(zip(PN, PS)):
+        if a or b:
+            bd = b * d
+            top = k + nq
+            N[k:top] = [r + a * x + bd * y for r, x, y in zip(N[k:top], QN, QS)]
+            S[k:top] = [r + a * y + b * x for r, x, y in zip(S[k:top], QN, QS)]
+    return _quad_poly(p, N, S, 1, lp * lq)
 
 
 def _quad_rationalise(N: list, S: list, d: int):
@@ -1138,17 +1201,20 @@ def _quad_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         if not RN:
             return _quad_poly(p, CN, CS, 1, CN[-1])
         if len(RN) == 1:
-            return MultiPoly.const(p.dom, p.vars, p.dom.one)
+            return _quad_poly(p, (1,), (0,), 1, 1)
         c = math.gcd(*RN, *RS)
         AN, AS, BN, BS = BN, BS, [x // c for x in RN], [x // c for x in RS]
 
 
 def _quad_divide_out(p: MultiPoly, q: MultiPoly, most=None):
-    """``divide_out`` of nonzero univariate p by q over Q(sqrt(d)), stopping
-    after ``most`` divisions when it is not None, on integer pairs: q is converted and rationalised once (c from
-    ``_quad_rationalise``), and each division multiplies the dividend by
-    the same c and takes the quotient off ``_quad_divmod`` when the
-    remainder is zero.  The cofactor is built once, at the end."""
+    """``divide_out`` of nonzero univariate p by q over Q(sqrt(d)) on
+    integer pairs, stopping after ``most`` divisions when it is not None.
+    q is rationalised once (c from ``_quad_rationalise``), and each
+    division multiplies the dividend by the same c and takes the quotient
+    off ``_quad_divmod`` when the remainder is zero.  The cofactor is built
+    once, at the end."""
+    if max(p.terms) < max(q.terms):
+        return 0, p  # a lower degree: no conversion
     d = p.dom.d
     PN, PS, den = _quad_ints(p)
     QN, QS, lq = _quad_ints(q)
@@ -1628,7 +1694,8 @@ class RationalFunction(FieldOps):
     functions have identical num and den.
 
     Over QQ, ``_zz`` holds num's cleared integer form once ``_cleared``
-    has computed it; an immutable value never makes it stale."""
+    has computed it or ``FractionFieldDomain.lincomb`` has built it; an
+    immutable value never makes it stale."""
 
     __slots__ = ("num", "den", "_zz")
 
@@ -1778,9 +1845,8 @@ def squarefree_decomposition(p: MultiPoly, name: str):
         d = _exact_quot(d, g) - b2.derivative(name)
         b = b2
         i += 1
-    check = MultiPoly.const(p.dom, p.vars, p.dom.one)
-    for g, k in parts:
-        check = check * g**k
+    # parts is not empty, since a is not constant; a lone g**1 is g itself
+    check = reduce(mul, [g**k for g, k in parts])
     q = exact_divide(prim, check)
     if q is None or not q.is_constant():
         raise ArithmeticError("square-free decomposition went inconsistent")

@@ -8,7 +8,8 @@ plain division loop that rebuilds the whole remainder for every quotient
 term.  Univariate division over Q(sqrt(d)) runs on integer pairs, so its
 leads are drawn to have a nonzero sqrt(d) part, sqrt(d) itself among them
 (its rationalised form, -d, is negative), over coefficients with non-unit
-denominators; a guard test counts that it does no ``QuadExt`` arithmetic.
+denominators; a guard test counts that it, a product and a derivative do
+no ``QuadExt`` arithmetic.
 The bivariate ring keeps the sparse kernel over ``QuadExt`` covered.
 """
 
@@ -23,6 +24,7 @@ from mpbelyi.poly import (
     MultiPoly,
     QuadDomain,
     RationalFunction,
+    _mul_terms,
     divide_out,
     exact_divide,
     poly_gcd,
@@ -227,13 +229,18 @@ def test_quad_gcd_and_division_do_no_element_arithmetic(monkeypatch):
     other = 3 * x + QuadExt(1, 2, 105) / 5
     f = lin**2 * other
     g = lin * (w * x + 7)
-    want = (lin, lin * other, None, (2, other))
+    # the product and derivative references multiply QuadExt coefficients,
+    # before the counting starts
+    want = (lin, lin * other, None, (2, other),
+            MultiPoly(K, ("x",), _mul_terms(g.terms, f.terms)),
+            MultiPoly(K, ("x",), {(k - 1,): c * k for (k,), c in f.terms.items() if k}))
     calls = []
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                  "__neg__", "__truediv__", "inverse"):
         fn = getattr(QuadExt, name)
         monkeypatch.setattr(QuadExt, name, lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
-    got = (poly_gcd(f, g), exact_divide(f, lin), exact_divide(f, g), divide_out(f, lin))
+    got = (poly_gcd(f, g), exact_divide(f, lin), exact_divide(f, g), divide_out(f, lin),
+           g * f, f.derivative("x"))
     monkeypatch.undo()
     assert calls == []
     assert got == want

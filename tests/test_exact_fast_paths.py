@@ -15,9 +15,9 @@ Each shortcut must give what the general path gives:
   schoolbook series arithmetic; a one-term series inverts and roots, and
   a product with a one-term factor on either side shifts and scales, with
   no ``lincomb`` at all;
-- a rational function's cleared integer form is computed once, equals
-  ``_clear_denominators`` of its numerator and takes no part in
-  immutability, equality or hashing;
+- a rational function's cleared integer form is computed once, or kept
+  from the ``lincomb`` that built it, equals ``_clear_denominators`` of its
+  numerator and takes no part in immutability, equality or hashing;
 - operands over the same domain object skip the domain's ``__eq__``, and
   extension domains hash by their radicand.
 
@@ -492,19 +492,25 @@ def hash_or_error(x):
         return str(exc)
 
 
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
-@given(x=frac_unit)
-def test_cleared_form_is_cached_and_invisible(x):
-    L, (z,) = mpbelyi.poly._clear_denominators([x.num])
-    assert x._cleared() == (L, z.terms, max(map(max, z.terms), default=0))
-    assert x._cleared() is x._cleared()
-    with pytest.raises(AttributeError):
-        x.num = x.den
-    with pytest.raises(AttributeError):
-        x._zz = None
-    fresh = RationalFunction(x.num, x.den)
-    assert x == fresh and fresh == x and not hasattr(fresh, "_zz")
-    assert hash_or_error(x) == hash_or_error(fresh)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(x=frac_unit, items=lincomb_items(frac_unit, max_size=3))
+def test_cleared_form_is_cached_and_invisible(x, items):
+    # a lincomb output over one arrives with the cleared form it was built
+    # from, so the next lincomb does not clear it again
+    s = F.lincomb(items)
+    if s is not F.zero:
+        assert hasattr(s, "_zz")
+    for x in (x, s):
+        L, (z,) = mpbelyi.poly._clear_denominators([x.num])
+        assert x._cleared() == (L, z.terms, max(map(max, z.terms), default=0))
+        assert x._cleared() is x._cleared()
+        with pytest.raises(AttributeError):
+            x.num = x.den
+        with pytest.raises(AttributeError):
+            x._zz = None
+        fresh = RationalFunction(x.num, x.den)
+        assert x == fresh and fresh == x and not hasattr(fresh, "_zz")
+        assert hash_or_error(x) == hash_or_error(fresh)
 
 
 # -- constants in Frac(Q[a,c]) ------------------------------------------------------

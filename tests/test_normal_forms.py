@@ -4,7 +4,8 @@ Property tests (hypothesis) for gcd and RationalFunction normal forms over
 Q(sqrt(105)), QQ, Frac(Q[a]) and a branch extension, gcds with zero over
 QQ, ZZ and Q(sqrt(105)), cheap negation of
 rational functions, curve elements over a fraction field, and the
-structure of the certification curve's divisors.
+structure of the certification curve's divisors, whose computation
+converts each polynomial of positive degree to integer pairs once.
 """
 
 import math
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpbelyi import goldens as G
+from mpbelyi import poly as poly_module
 from mpbelyi.curve import BranchExtDomain, CurveModel, divisor_of
 from mpbelyi.mp import mp_differential
 from mpbelyi.parse import parse_poly
@@ -292,6 +294,26 @@ def test_certification_divisor_of_beta_has_small_monic_generators():
             assert [e[2] for e in clusters if e[1] == g] == [m]
         [(kind, place, mult)] = [e for e in d.entries if e[0] == "place"]
         assert place.kind == "infinite_ramified" and mult == -14
+
+
+def test_divisor_of_beta_converts_each_polynomial_to_pairs_once(monkeypatch):
+    # a polynomial keeps its integer pairs, and the pair kernels hand them on
+    # to what they build, so no polynomial of positive degree is converted
+    # twice, however many divisions it enters.  Constants are left out: Yun's
+    # loop ends on a constant one that a difference builds afresh.
+    _, beta = certification(1)
+    converted = []
+    ints = poly_module._quad_ints
+
+    def counted(p):
+        if not hasattr(p, "_pairs"):
+            converted.append(tuple(sorted(p.terms.items())))
+        return ints(p)
+
+    monkeypatch.setattr(poly_module, "_quad_ints", counted)
+    divisor_of(beta)
+    nonconstant = [t for t in converted if t[-1][0] != (0,)]
+    assert nonconstant and len(nonconstant) == len(set(nonconstant))
 
 
 def test_certification_operator_returns():

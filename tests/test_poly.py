@@ -2,8 +2,10 @@
 
 Oracles come first and are deliberately naive: cofactor determinants,
 dense-list division, monic Euclid (on Fraction lists, and on QuadExt lists
-for the integer-pair gcd over Q(sqrt d)), Sylvester matrices.  The fast
-exact algorithms must agree with them.
+for the integer-pair gcd over Q(sqrt d)), Sylvester matrices; the
+schoolbook product on QuadExt coefficients, for the integer-pair product,
+sits with the Q(sqrt d) tests.  The fast exact algorithms must agree with
+them.
 """
 
 import math
@@ -12,7 +14,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mpbelyi import goldens as G
@@ -506,6 +508,70 @@ def test_quad_gcd_matches_monic_euclid_on_quadext(t, embed):
     if embed:
         a, b = a.with_vars(("y", "x")), b.with_vars(("y", "x"))
     assert poly_gcd(a, b).univariate_coeffs("x") == want
+
+
+def quadext_schoolbook_mul(p, q):
+    """p*q with every pair of terms multiplied and summed as ``QuadExt``
+    elements: the reference for the integer-pair product."""
+    out = {}
+    for (i,), a in p.terms.items():
+        for (j,), b in q.terms.items():
+            out[(i + j,)] = out.get((i + j,), p.dom.zero) + a * b
+    return MultiPoly(p.dom, p.vars, out)
+
+
+def quad_any_upoly(d):
+    """Polynomials in x over Q(sqrt(d)) of degree at most 4, dense or of one
+    term (zero and constants among them), with rational, pure-surd or mixed
+    coefficients over denominators up to 4."""
+    dom = QuadDomain(d)
+    coeff = st.one_of(
+        st.builds(lambda r: QuadExt(r, 0, d), small_frac),
+        st.builds(lambda s: QuadExt(0, s, d), small_frac),
+        st.builds(lambda r, s: QuadExt(r, s, d), small_frac, small_frac),
+    )
+    return st.one_of(
+        st.lists(coeff, max_size=5).map(lambda cs: MultiPoly.from_univariate(dom, "x", cs)),
+        st.builds(lambda k, c: MultiPoly(dom, ("x",), {(k,): c}), st.integers(0, 4), coeff),
+    )
+
+
+def hash_or_error(x):
+    try:
+        return hash(x)
+    except TypeError as exc:
+        return str(exc)
+
+
+def q5(text):
+    return parse_poly(text, ("x",), dom=QuadDomain(5))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([2, 5, 105]).flatmap(lambda d: st.tuples(*[quad_any_upoly(d)] * 2)))
+# pairs whose integers share a factor with the denominator: (x + 1/2)(2x + 4)
+# over 2, and the derivative x over 2 of x^2/2 + sqrt(5)/2
+@example((q5("x+1/2"), q5("2*x+4")))
+@example((q5("1/2*x^2+1/2*sqrt(5)"), q5("sqrt(5)*x-3")))
+def test_quad_products_and_derivatives_are_the_quadext_ones(t):
+    p, q = t
+    pq, dp = p * q, p.derivative("x")
+    assert pq == quadext_schoolbook_mul(p, q) == q * p
+    assert dp == MultiPoly(p.dom, p.vars, {(k - 1,): c * k for (k,), c in p.terms.items() if k})
+    built = [pq] if len(p.terms) > 1 and len(q.terms) > 1 else []
+    built += [dp] if p.total_degree() > 0 else []
+    for r in built:
+        # the pair form the kernel kept is the one a fresh conversion gives,
+        # it spells out r's coefficients, and nothing else sees it
+        fresh = MultiPoly(r.dom, r.vars, dict(r.terms))
+        assert not hasattr(fresh, "_pairs")
+        assert r == fresh and fresh == r and str(r) == str(fresh)
+        assert hash_or_error(r) == hash_or_error(fresh)
+        N, S, L = r._pairs
+        assert MultiPoly.from_univariate(
+            r.dom, "x", [QuadExt(Fraction(a, L), Fraction(b, L), r.dom.d) for a, b in zip(N, S)]
+        ) == r
+        assert poly_module._quad_ints(fresh) == (N, S, L)
 
 
 # one discriminant on every ring: QQ and ZZ through the evaluation resultant,
