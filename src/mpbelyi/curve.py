@@ -429,13 +429,13 @@ def _entry_str(e) -> str:
     return "%d*[branch points over roots of %s]" % (e[2], e[1])
 
 
-def _ord_in(rf: RationalFunction, g: MultiPoly):
-    """Multiplicity of g in a reduced rational function (inf for zero)."""
+def _ords_in(rf: RationalFunction, g: MultiPoly):
+    """(multiplicity of g in rf.num, in rf.den); inf for the zero function."""
     if not rf:
-        return math.inf
+        return math.inf, 0
     up, _ = divide_out(rf.num, g)
     down, _ = divide_out(rf.den, g)
-    return up - down
+    return up, down
 
 
 def coprime_basis(polys):
@@ -470,34 +470,62 @@ def coprime_basis(polys):
 
 def divisor_of(elem: FunctionFieldElement) -> Divisor:
     """Exact divisor of a nonzero function, with cluster-level entries for
-    conjugate root families that are not rational."""
+    conjugate root families that are not rational.
+
+    The basis is that of f and the nums and dens of P and Q.  The norm
+    n = P^2 - f*Q^2 enters unreduced, as N/(P.den^2*Q.den^2) with
+    N = (P.num*Q.den)^2 - f*(Q.num*P.den)^2: a fraction has the orders of
+    its reduced form, and the roots of that denominator are basis roots, so
+    ord_g(n) = ord_g(N) - 2*(ord_g P.den + ord_g Q.den) and no gcd or
+    square-free decomposition of the norm is needed.  Only what is left of
+    N once every basis polynomial is divided out refines the basis (factor
+    refinement, Bach, Driscoll and Shallit, J. Algorithms 15, 1993): it
+    holds the zeros where P = +-y*Q cancels, and it splits a generator,
+    such as x^2 - x, whose roots carry different orders of N."""
     if not elem:
         raise ValueError("the zero function has no divisor")
     curve = elem.curve
     f = curve.f
-    n = elem.norm()
+    p, q = elem.p, elem.q
     cands = [f]
-    for rf in (elem.p, elem.q, n):
+    for rf in (p, q):
         if rf:
             cands.append(rf.num)
             cands.append(rf.den)
+    if not q:
+        norm_num = p.num * p.num
+    elif not p:
+        norm_num = -(f * (q.num * q.num))
+    else:
+        a = p.num * q.den
+        b = q.num * p.den
+        norm_num = a * a - f * (b * b)
     basis = coprime_basis(cands)
-    entries = []
+    orders = []
+    rest = norm_num
     for g in basis:
+        k, rest = divide_out(rest, g)
+        orders.append(k)
+    if rest.degree_in("x") >= 1:
+        basis = coprime_basis(basis + [rest])
+        orders = [divide_out(norm_num, g)[0] for g in basis]
+    entries = []
+    for g, o_norm in zip(basis, orders):
         ramified = exact_divide(f, g) is not None
-        o_p = _ord_in(elem.p, g)
-        o_q = _ord_in(elem.q, g)
+        p_up, p_down = _ords_in(p, g)
+        q_up, q_down = _ords_in(q, g)
+        o_p = p_up - p_down
+        o_q = q_up - q_down
         if ramified:
             v = min(2 * o_p, 1 + 2 * o_q)
-            if v and v is not math.inf:
+            if v and not math.isinf(v):
                 entries.append(("cluster_ram", g, int(v)))
             continue
-        o_n = _ord_in(n, g)
         m2 = min(o_p, o_q)
-        if m2 is math.inf:
+        if math.isinf(m2):
             continue
         m2 = int(m2)
-        m1 = int(o_n) - m2
+        m1 = o_norm - 2 * (p_down + q_down) - m2
         if m1 == m2:
             if m1:
                 entries.append(("cluster_both", g, m1))

@@ -1,6 +1,7 @@
 """Geometry layer tests: branch extensions, local frames, orders, divisors,
 and j-invariants, anchored on small fixture curves."""
 
+import math
 import operator
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_series import assert_same_series, convolution_sqrt
 
+from mpbelyi import curve as curve_module
 from mpbelyi import goldens as G
 from mpbelyi.curve import (
     _PREC_LADDER,
@@ -17,9 +19,11 @@ from mpbelyi.curve import (
     BranchExt,
     BranchExtDomain,
     CurveModel,
+    Divisor,
     InfinitePlace,
     RamifiedAffinePlace,
     RamifiedInfinitePlace,
+    _entry_str,
     _eval_poly_series,
     coprime_basis,
     divisor_of,
@@ -31,7 +35,7 @@ from mpbelyi.curve import (
     residue_of_quadratic_differential,
 )
 from mpbelyi.parse import parse_poly
-from mpbelyi.poly import MultiPoly, QQ, QuadDomain, RationalFunction
+from mpbelyi.poly import MultiPoly, QQ, QuadDomain, RationalFunction, divide_out, exact_divide
 from mpbelyi.scalars import QuadExt
 from mpbelyi.series import MAX_TRUNCATION, LaurentSeries
 
@@ -487,6 +491,155 @@ def test_divisor_degree_zero_random():
                 break
         elem = c.element(RationalFunction(p), RationalFunction(q))
         assert divisor_of(elem).degree() == 0
+
+
+def reference_divisor_of(elem):
+    """Divisor through the reduced norm, whose num and den join the basis:
+    the route ``divisor_of`` replaced."""
+
+    def ord_in(rf, g):
+        if not rf:
+            return math.inf
+        return divide_out(rf.num, g)[0] - divide_out(rf.den, g)[0]
+
+    curve = elem.curve
+    f = curve.f
+    n = elem.norm()
+    cands = [f]
+    for rf in (elem.p, elem.q, n):
+        if rf:
+            cands += [rf.num, rf.den]
+    entries = []
+    for g in coprime_basis(cands):
+        o_p, o_q = ord_in(elem.p, g), ord_in(elem.q, g)
+        if exact_divide(f, g) is not None:
+            v = min(2 * o_p, 1 + 2 * o_q)
+            if v and not math.isinf(v):
+                entries.append(("cluster_ram", g, int(v)))
+            continue
+        m2 = min(o_p, o_q)
+        if math.isinf(m2):
+            continue
+        m2 = int(m2)
+        m1 = int(ord_in(n, g)) - m2
+        if m1 == m2:
+            if m1:
+                entries.append(("cluster_both", g, m1))
+        elif g.degree_in("x") == 1:
+            c0, c1 = g.univariate_coeffs("x")
+            plus = curve.point(curve.dom.div(-c0, c1), branch=1)
+            v_plus = order_at(elem, plus)
+            assert v_plus in (m1, m2)
+            for pl, v in ((plus, v_plus), (plus.conjugate(), m1 + m2 - v_plus)):
+                if v:
+                    entries.append(("place", pl, v))
+        else:
+            entries.append(("cluster_split", g, m1, m2))
+    for pl in curve.places_at_infinity():
+        v = order_at(elem, pl)
+        if v:
+            entries.append(("place", pl, v))
+    return Divisor(entries)
+
+
+def rendered(div):
+    return sorted(_entry_str(e) for e in div.entries)
+
+
+def cert_poly(text):
+    g = "(%d*sqrt(%d))" % (G.CERT_GAMMA_COEFF, G.CERT_FIELD_DISC)
+    return parse_poly(text.replace("g", g), ("x",), dom=QuadDomain(G.CERT_FIELD_DISC))
+
+
+# curve, coefficients, most terms of a polynomial in a part: the reduced
+# norm of the reference is slow on the certification curve at degree 2
+AGREEMENT_CURVES = {
+    "cubic": (curve_of("x^3+1"), small_q, 3),
+    "quartic": (curve_of("x^4+3*x^2-2*x+1"), small_q, 3),
+    "certification": (
+        CurveModel(cert_poly(G.CERT_MODEL_F)),
+        st.builds(lambda r, s: QuadExt(r, s, G.CERT_FIELD_DISC), small_q, small_q),
+        2,
+    ),
+}
+
+
+def function_elements(curve, coeffs, terms):
+    """P + y*Q with parts of degree below terms over degree below terms: either
+    part may be zero, the two may share their denominator, e*e + r makes P
+    and Q of one element meet in the norm, and e*y meets f."""
+    poly = st.lists(coeffs, min_size=1, max_size=terms).map(
+        lambda cs: MultiPoly.from_univariate(curve.dom, "x", cs)
+    )
+    nonzero = poly.filter(bool)
+    part = st.builds(RationalFunction, poly, nonzero)
+    base = st.one_of(
+        st.builds(curve.element, part, part),
+        st.builds(
+            lambda a, b, d: curve.element(RationalFunction(a, d), RationalFunction(b, d)),
+            poly, poly, nonzero,
+        ),
+        st.builds(curve.element, part),
+        st.builds(lambda r: curve.element(None, r), part),
+    )
+    return st.one_of(
+        base,
+        st.builds(lambda e, r: e * e + curve.element(r), base, part),
+        base.map(lambda e: e * curve.y()),
+    ).filter(bool)
+
+
+@pytest.mark.parametrize("name", sorted(AGREEMENT_CURVES))
+def test_divisor_of_agrees_with_the_reduced_norm_route(name):
+    curve, coeffs, terms = AGREEMENT_CURVES[name]
+
+    @PROPS
+    @given(function_elements(curve, coeffs, terms))
+    def check(elem):
+        div = divisor_of(elem)
+        assert div.degree() == 0
+        assert rendered(div) == rendered(reference_divisor_of(elem))
+
+    check()
+
+
+def test_divisor_of_refines_a_generator_by_the_norm():
+    # p = q = 1/(x^2 - x): the basis is {x^2 - x}, and only the norm
+    # -x/(x - 1)^2 splits it, into ord 1 at x and -2 at x - 1
+    c = curve_of(E_CUBIC)
+    d = divisor_of((1 + c.y()) / (c.x() * (c.x() - 1)))
+    minus, plus = c.point(0, branch=-1), c.point(0, branch=1)
+    assert minus.y0 == -1 and plus.y0 == 1
+    [inf] = c.places_at_infinity()
+    want = [
+        ("place", minus, 2),
+        ("place", plus, -1),
+        ("cluster_both", parse_poly("x-1", ("x",)), -1),
+        ("place", inf, 1),
+    ]
+    assert rendered(d) == rendered(Divisor(want))
+    assert d.degree() == 0
+
+
+def test_divisor_of_beta_decomposes_only_f_and_the_parts_of_beta(monkeypatch):
+    # f, P.num and P.den: decomposing the reduced norm's num and den makes 5
+    curve = AGREEMENT_CURVES["certification"][0]
+    beta = curve.element(RationalFunction(cert_poly(G.CERT_N0_NUM), cert_poly(G.CERT_N0_DEN)))
+    seen = []
+    decompose = curve_module.squarefree_decomposition
+
+    def counted(p, name):
+        seen.append(p)
+        return decompose(p, name)
+
+    def no_norm(self):
+        raise AssertionError("divisor_of took a norm")
+
+    monkeypatch.setattr(curve_module, "squarefree_decomposition", counted)
+    monkeypatch.setattr(BranchExt, "norm", no_norm)
+    divisor_of(beta)
+    assert len(seen) == 3
+    assert all(any(p == g for p in seen) for g in (curve.f, beta.p.num, beta.p.den))
 
 
 def test_coprime_basis_refines_shared_factors():
