@@ -26,7 +26,6 @@ orders and residues are exact there too.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .poly import (
     BranchExtDomain,
@@ -61,14 +60,6 @@ class FunctionFieldElement(BranchExt):
         super().__init__(p, q, curve)
 
     p, q, curve = BranchExt.a, BranchExt.b, BranchExt.ext
-
-    def deriv_over_omega(self) -> "FunctionFieldElement":
-        """The function (d self)/omega for omega = dx/y: equals
-        (f*Q' + f'*Q/2) + y*P'."""
-        curve = self.curve
-        fp = RationalFunction(curve.f.derivative("x"))
-        new_p = curve.radicand * self.q.derivative("x") + fp * self.q * Fraction(1, 2)
-        return self._trusted(new_p, self.p.derivative("x"), curve)
 
     def __str__(self):
         if not self.q:
@@ -198,7 +189,11 @@ class _Place:
     the root of f(x(t))'s lead that the place selects (see ``_root``); edom,
     the field the frames live in, is root's extension when root is a
     ``BranchExt``, else the curve's field.  Places are equal when they have
-    the same type, curve and _key()."""
+    the same type, curve and _key().  Over x = infinity, pole_orders holds
+    the orders (s_x, s_y) of the poles of x and y; it is None at an affine
+    place."""
+
+    pole_orders = None
 
     def __init__(self, curve: CurveModel, root):
         self.curve = curve
@@ -279,6 +274,7 @@ class InfinitePlace(_Place):
     uniformizer t = 1/x, branch tagged by the sign of y/x^2."""
 
     kind = "infinite"
+    pole_orders = (1, 2)
 
     def __init__(self, curve: CurveModel, sign: int):
         lc = curve.f.coeff_of_power("x", 4).constant_value()
@@ -303,6 +299,7 @@ class RamifiedInfinitePlace(_Place):
     uniformizer t with x = 1/t^2."""
 
     kind = "infinite_ramified"
+    pole_orders = (2, 3)
 
     def __init__(self, curve: CurveModel):
         lc = curve.f.coeff_of_power("x", 3).constant_value()
@@ -351,10 +348,27 @@ def _on_ladder(place, what: str, read):
     raise ArithmeticError("%s at %s undecided; %s" % (what, place, "; ".join(failed)))
 
 
+def _degree(rf: RationalFunction) -> int:
+    return rf.num.degree_in("x") - rf.den.degree_in("x")
+
+
 def order_at(elem: FunctionFieldElement, place) -> int:
-    """Exact order of vanishing (negative at a pole)."""
+    """Exact order of vanishing (negative at a pole).  Over x = infinity
+    ord(P) = -s_x*deg P and ord(y*Q) = -s_y - s_x*deg Q, with deg the
+    degree of num less that of den and (s_x, s_y) the place's pole_orders:
+    when the two differ the smaller is the order and no frame is built.
+    Only a tie, where the leads may cancel, goes up the precision ladder."""
     if not elem:
         raise ValueError("the zero function has no order")
+    if place.pole_orders is not None:
+        s_x, s_y = place.pole_orders
+        ords = []
+        if elem.p:
+            ords.append(-s_x * _degree(elem.p))
+        if elem.q:
+            ords.append(-s_y - s_x * _degree(elem.q))
+        if len(ords) == 1 or ords[0] != ords[1]:
+            return min(ords)
     return _on_ladder(
         place, "order", lambda prec: local_series(elem, place, prec).valuation()
     )
@@ -438,16 +452,28 @@ def _ords_in(rf: RationalFunction, g: MultiPoly):
     return up, down
 
 
-def coprime_basis(polys):
-    """Pairwise-coprime square-free polynomials in normal form generating
-    the same set of roots as the inputs: monic, except primitive-integer
-    over QQ (see ``MultiPoly.primitive``)."""
-    basis = []
+def _squarefree_parts(polys):
+    """The square-free parts of the nonconstant inputs (Yun)."""
     work = []
     for p in polys:
         if p and p.degree_in("x") >= 1:
             _, parts = squarefree_decomposition(p, "x")
             work.extend(g for g, _ in parts)
+    return work
+
+
+def coprime_basis(polys):
+    """Pairwise-coprime square-free polynomials in normal form generating
+    the same set of roots as the inputs: monic, except primitive-integer
+    over QQ (see ``MultiPoly.primitive``)."""
+    return _refine([], _squarefree_parts(polys))
+
+
+def _refine(basis, work):
+    """basis, a coprime basis as coprime_basis returns, refined by the
+    square-free polynomials work: each is split against the members it
+    meets, so members already coprime are not compared again."""
+    basis = list(basis)
     while work:
         q = work.pop()
         q = q.primitive_part()
@@ -507,7 +533,7 @@ def divisor_of(elem: FunctionFieldElement) -> Divisor:
         k, rest = divide_out(rest, g)
         orders.append(k)
     if rest.degree_in("x") >= 1:
-        basis = coprime_basis(basis + [rest])
+        basis = _refine(basis, _squarefree_parts([rest]))
         orders = [divide_out(norm_num, g)[0] for g in basis]
     entries = []
     for g, o_norm in zip(basis, orders):

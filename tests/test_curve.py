@@ -564,24 +564,35 @@ AGREEMENT_CURVES = {
 }
 
 
-def function_elements(curve, coeffs, terms):
-    """P + y*Q with parts of degree below terms over degree below terms: either
-    part may be zero, the two may share their denominator, e*e + r makes P
-    and Q of one element meet in the norm, and e*y meets f."""
+def element_parts(curve, coeffs, terms):
+    """(polynomials, rational functions): degree below terms, and degree
+    below terms over degree below terms."""
     poly = st.lists(coeffs, min_size=1, max_size=terms).map(
         lambda cs: MultiPoly.from_univariate(curve.dom, "x", cs)
     )
-    nonzero = poly.filter(bool)
-    part = st.builds(RationalFunction, poly, nonzero)
-    base = st.one_of(
+    return poly, st.builds(RationalFunction, poly, poly.filter(bool))
+
+
+def plain_elements(curve, coeffs, terms):
+    """P + y*Q with parts from element_parts: either part may be zero, and
+    the two may share their denominator."""
+    poly, part = element_parts(curve, coeffs, terms)
+    return st.one_of(
         st.builds(curve.element, part, part),
         st.builds(
             lambda a, b, d: curve.element(RationalFunction(a, d), RationalFunction(b, d)),
-            poly, poly, nonzero,
+            poly, poly, poly.filter(bool),
         ),
         st.builds(curve.element, part),
         st.builds(lambda r: curve.element(None, r), part),
     )
+
+
+def function_elements(curve, coeffs, terms):
+    """plain_elements, and from them e*e + r, which makes P and Q of one
+    element meet in the norm, and e*y, which meets f."""
+    _, part = element_parts(curve, coeffs, terms)
+    base = plain_elements(curve, coeffs, terms)
     return st.one_of(
         base,
         st.builds(lambda e, r: e * e + curve.element(r), base, part),
@@ -603,6 +614,56 @@ def test_divisor_of_agrees_with_the_reduced_norm_route(name):
     check()
 
 
+def reference_order_at(elem, place):
+    """The valuation of the expansion, read up the precision ladder."""
+    return curve_module._on_ladder(
+        place, "order", lambda prec: local_series(elem, place, prec).valuation()
+    )
+
+
+def tied_at_infinity(curve, part):
+    """c*x^2*r + s + y*r: on a quartic ord(P) and ord(y*Q) tie at infinity,
+    and with c = +-1 on a monic f the leads cancel at one of the places."""
+    x2 = curve.x() ** 2
+    return st.builds(
+        lambda r, s, c: (x2 * c + curve.y()) * curve.element(r) + curve.element(s),
+        part, part, st.sampled_from([1, -1, 2]),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(AGREEMENT_CURVES))
+def test_order_at_infinity_agrees_with_the_series(name):
+    curve, coeffs, terms = AGREEMENT_CURVES[name]
+    _, part = element_parts(curve, coeffs, terms)
+    elems = st.one_of(function_elements(curve, coeffs, terms), tied_at_infinity(curve, part))
+
+    @PROPS
+    @given(elems.filter(bool))
+    def check(elem):
+        for place in curve.places_at_infinity():
+            assert order_at(elem, place) == reference_order_at(elem, place)
+
+    check()
+
+
+def test_order_at_infinity_builds_no_frame_when_the_parts_differ(monkeypatch):
+    # on a cubic ord(P) is even and ord(y*Q) odd at infinity, so they never tie
+    curve = AGREEMENT_CURVES["certification"][0]
+    x, y = curve.x(), curve.y()
+    beta = curve.element(RationalFunction(cert_poly(G.CERT_N0_NUM), cert_poly(G.CERT_N0_DEN)))
+    elems = (beta, 1 - beta, y * beta + x, y / (x**3 + 1), x**2 + y * x)
+    [inf] = curve.places_at_infinity()
+    want = [reference_order_at(e, inf) for e in elems]
+
+    def no_frame(self, prec):
+        raise AssertionError("order_at built a frame at infinity")
+
+    monkeypatch.setattr(RamifiedInfinitePlace, "frame", no_frame)
+    assert [order_at(e, inf) for e in elems] == want == [-14, -14, -17, 3, -5]
+    divisor_of(beta)
+    divisor_of(1 - beta)
+
+
 def test_divisor_of_refines_a_generator_by_the_norm():
     # p = q = 1/(x^2 - x): the basis is {x^2 - x}, and only the norm
     # -x/(x - 1)^2 splits it, into ord 1 at x and -2 at x - 1
@@ -619,6 +680,24 @@ def test_divisor_of_refines_a_generator_by_the_norm():
     ]
     assert rendered(d) == rendered(Divisor(want))
     assert d.degree() == 0
+
+
+def test_divisor_of_decomposes_only_the_cofactor_when_it_refines(monkeypatch):
+    # f, P.den and Q.den, then the cofactor -x^3 alone: decomposing the basis
+    # again with it makes 6
+    c = curve_of(E_CUBIC)
+    elem = (1 + c.y()) / (c.x() * (c.x() - 1))
+    seen = []
+    decompose = curve_module.squarefree_decomposition
+
+    def counted(p, name):
+        seen.append(p)
+        return decompose(p, name)
+
+    monkeypatch.setattr(curve_module, "squarefree_decomposition", counted)
+    divisor_of(elem)
+    assert len(seen) == 4
+    assert seen[-1] == parse_poly("-x^3", ("x",))
 
 
 def test_divisor_of_beta_decomposes_only_f_and_the_parts_of_beta(monkeypatch):
